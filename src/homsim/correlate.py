@@ -8,7 +8,6 @@ peak ratios into the two-photon interference visibility.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .fitting import nlls_solve
 from .model import ConfigurationError, EstimationError, ValidationError
+from .simulate import _worker_count
 
 
 def _as_times_channels(tags):
@@ -24,19 +24,6 @@ def _as_times_channels(tags):
         return np.asarray(tags.times_ps), np.asarray(tags.channels)
     times, channels = tags
     return np.asarray(times), np.asarray(channels)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("HOMSIM_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigurationError("HOMSIM_THREADS must be an integer") from exc
-        if n < 1:
-            raise ConfigurationError("HOMSIM_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

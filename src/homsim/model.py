@@ -6,7 +6,8 @@ reference, rates are per second unless a suffix says otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 # Reduced Planck constant in ueV*ps (CODATA hbar = 6.582119569e-16 eV s).
 HBAR_UEV_PS = 658.2119569
@@ -30,6 +31,17 @@ class EstimationError(RuntimeError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
+
+
+def _require_finite(spec) -> None:
+    """Reject NaN and infinite values in any float field of a spec."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            _require(
+                not isinstance(v, float) or math.isfinite(v),
+                "%s must be finite, got %r" % (f.name, value),
+            )
 
 
 def t2_from_linewidth(linewidth_uev: float) -> float:
@@ -76,6 +88,7 @@ class EmitterSpec:
     spectral_diffusion_sigma_uev: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.t1_fast_ps > 0, "t1_fast_ps must be strictly positive")
         _require(self.t1_slow_ps > 0, "t1_slow_ps must be strictly positive")
         _require(self.t2_ps > 0, "t2_ps must be strictly positive")
@@ -121,6 +134,7 @@ class CircuitSpec:
     classical_visibility: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(0.0 < self.reflectance < 1.0, "reflectance must be in (0, 1)")
         _require(0.0 <= self.pol_overlap <= 1.0, "pol_overlap must be in [0, 1]")
         _require(len(self.arm_transmission) == 4, "arm_transmission needs 4 values")
@@ -151,6 +165,7 @@ class DetectorSpec:
     dead_time_ps: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.irf_fwhm_ps >= 0, "irf_fwhm_ps must be >= 0")
         _require(self.dark_rate_cps >= 0, "dark_rate_cps must be >= 0")
         _require(0.0 < self.efficiency <= 1.0, "efficiency must be in (0, 1]")
@@ -174,6 +189,7 @@ class PulseTrainSpec:
     source_delay_ps: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.rep_rate_mhz > 0, "rep_rate_mhz must be strictly positive")
         _require(
             isinstance(self.n_pulses, int) and self.n_pulses >= 0,

@@ -10,6 +10,7 @@ Streams are keyed (seed, stream_id) with stream 1/2 = emission of source
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -140,7 +141,19 @@ def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:
 
 
 def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, stream_id: int):
-    """Per-pulse on/off gate of the two-state telegraph, or None if static."""
+    """Per-pulse on/off gate of the two-state telegraph, or None if static.
+
+    Pulse 0 is on when u < pi_on; pulse i > 0 is on when u < p_on_on after
+    an on pulse and when u < p_off_on after an off one. Since
+    p_on_on - p_off_on = decay >= 0 (and p_off_on <= pi_on <= p_on_on also
+    holds in floating point), u splits into three bands: u < p_off_on is on
+    whatever came before, u >= p_on_on is off whatever came before, and a
+    u in between repeats the previous pulse's state. So every pulse takes
+    the state of the last pulse at or before it whose u is in an outer
+    band, and pulse 0 is always decided. The words are drawn one chunk at
+    a time, and a chunk's first pulse takes the carried state when its u
+    is in the middle band.
+    """
     k_on = emitter.blink_on_rate_per_s
     k_off = emitter.blink_off_rate_per_s
     if k_on == 0.0 and k_off == 0.0:
@@ -152,16 +165,19 @@ def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, stream_i
     p_off_on = pi_on * (1.0 - decay)
     n = train.n_pulses
     gate = np.empty(n, dtype=bool)
-    state = False
     for p0 in range(0, n, _CHUNK_PULSES):
         p1 = min(p0 + _CHUNK_PULSES, n)
         u = _stream_words(seed, stream_id, p0, p1 - p0, _EMIT_WORDS)[:, 6]
-        for i, uv in enumerate(u, start=p0):
-            if i == 0:
-                state = uv < pi_on
-            else:
-                state = uv < (p_on_on if state else p_off_on)
-            gate[i] = state
+        on = u < p_off_on
+        decided = on | (u >= p_on_on)
+        if p0 == 0:
+            on[0] = u[0] < pi_on
+        elif not decided[0]:
+            on[0] = gate[p0 - 1]
+        decided[0] = True
+        last = np.where(decided, np.arange(p1 - p0), 0)
+        np.maximum.accumulate(last, out=last)
+        gate[p0:p1] = on[last]
     return gate
 
 
@@ -405,7 +421,13 @@ def _dark_counts(det: DetectorSpec, span_ps: float, seed: int):
     for ch, stream in ((0, _STREAM_DARK0), (1, _STREAM_DARK1)):
         rng = Generator(Philox(key=[seed, stream]))
         mu = det.dark_rate_cps * span_ps * 1e-12
-        n = int(rng.poisson(mu)) if mu > 0 else 0
+        try:
+            n = int(rng.poisson(mu)) if mu > 0 else 0
+        except ValueError as exc:
+            raise ValidationError(
+                "dark_rate_cps %g over the %g ps span gives %g expected dark "
+                "counts per channel, too many to draw" % (det.dark_rate_cps, span_ps, mu)
+            ) from exc
         if n:
             t = np.rint(rng.uniform(0.0, span_ps, n)).astype(np.int64)
             times.append(t)
@@ -416,18 +438,45 @@ def _dark_counts(det: DetectorSpec, span_ps: float, seed: int):
 
 
 def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float):
-    if dead_ps <= 0 or times.size == 0:
-        return np.ones(times.size, dtype=bool)
+    """Mask of the tags a non-paralysable detector records.
+
+    Per channel, a tag is kept when it comes at least dead_ps after the
+    last kept tag of that channel; pruned tags do not extend the dead
+    time. times are sorted integer picoseconds, so t_j - t_i >= dead_ps
+    exactly when t_j - t_i >= ceil(dead_ps). With nxt[i] the first tag at
+    or after t_i + ceil(dead_ps), the tag kept after a kept tag i is nxt[i],
+    because every tag before it falls inside i's dead time and every tag
+    from it on is clear of it. The first tag is always kept, so the kept
+    tags are exactly the chain 0 -> nxt[0] -> nxt[nxt[0]] -> ..., which
+    pointer doubling marks in about log2(kept) whole-array gathers.
+    """
     keep = np.ones(times.size, dtype=bool)
+    if dead_ps <= 0 or times.size == 0:
+        return keep
+    dead = math.ceil(dead_ps)
     for ch in (0, 1):
         idx = np.flatnonzero(channels == ch)
-        last = -np.inf
-        for i in idx:
-            if times[i] - last < dead_ps:
-                keep[i] = False
-            else:
-                last = times[i]
+        if idx.size:
+            keep[idx] = _dead_time_chain(times[idx], dead)
     return keep
+
+
+def _dead_time_chain(t: np.ndarray, dead: int) -> np.ndarray:
+    """Kept mask of one channel's sorted tags under dead time dead >= 1."""
+    m = t.size
+    on = np.zeros(m + 1, dtype=bool)
+    on[0] = True
+    if dead > t[-1] - t[0]:  # only the first tag; also keeps t + dead in int64
+        return on[:m]
+    # jump[i] = nxt[i], with a sentinel m that points at itself.
+    jump = np.append(np.searchsorted(t, t + dead, side="left"), m)
+    # After k rounds the first 2**k links of the chain are marked and jump
+    # is nxt applied 2**k times; once that takes tag 0 to the sentinel the
+    # whole chain is marked.
+    while jump[0] != m:
+        on[jump[on]] = True
+        jump = jump[jump]
+    return on[:m]
 
 
 def _merge_and_finalize(parts_t, parts_c, dark_t, dark_c, det, seed, counters):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 import homsim as hs
+from homsim.simulate import _CHUNK_PULSES, _EMIT_WORDS, _stream_words
 
 
 def make_emitter(
@@ -143,3 +144,55 @@ def scenario_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def blink_probabilities(emitter, train):
+    """(pi_on, p_on_on, p_off_on) of the telegraph gate, as the simulator has them."""
+    k_on = emitter.blink_on_rate_per_s
+    k_off = emitter.blink_off_rate_per_s
+    k_tot = k_on + k_off
+    pi_on = k_on / k_tot
+    decay = np.exp(-k_tot * train.period_ps * 1e-12)
+    return pi_on, pi_on + (1.0 - pi_on) * decay, pi_on * (1.0 - decay)
+
+
+def blink_gate_reference(emitter, train, seed, stream_id):
+    """Sequential telegraph gate: one pulse at a time, carrying the state.
+
+    Reference for simulate._blink_gate; draws the same words.
+    """
+    if emitter.blink_on_rate_per_s == 0.0 and emitter.blink_off_rate_per_s == 0.0:
+        return None
+    pi_on, p_on_on, p_off_on = blink_probabilities(emitter, train)
+    n = train.n_pulses
+    gate = np.empty(n, dtype=bool)
+    state = False
+    for p0 in range(0, n, _CHUNK_PULSES):
+        p1 = min(p0 + _CHUNK_PULSES, n)
+        u = _stream_words(seed, stream_id, p0, p1 - p0, _EMIT_WORDS)[:, 6]
+        for i, uv in enumerate(u, start=p0):
+            if i == 0:
+                state = uv < pi_on
+            else:
+                state = uv < (p_on_on if state else p_off_on)
+            gate[i] = state
+    return gate
+
+
+def prune_dead_time_reference(times, channels, dead_ps):
+    """Sequential non-paralysable dead time, tag by tag per channel.
+
+    Reference for simulate._prune_dead_time.
+    """
+    if dead_ps <= 0 or times.size == 0:
+        return np.ones(times.size, dtype=bool)
+    keep = np.ones(times.size, dtype=bool)
+    for ch in (0, 1):
+        idx = np.flatnonzero(channels == ch)
+        last = -np.inf
+        for i in idx:
+            if times[i] - last < dead_ps:
+                keep[i] = False
+            else:
+                last = times[i]
+    return keep

@@ -323,6 +323,25 @@ class TestExitCodes:
         assert code == 2
         assert "missing required key" in err
 
+    @pytest.mark.parametrize(
+        "field,value,words",
+        [
+            ("dead_time_ps", float("inf"), ["dead_time_ps", "finite"]),
+            ("dark_rate_cps", 1e30, ["dark_rate_cps", "span"]),
+        ],
+    )
+    def test_unusable_detector_value_exits_2(self, run, tmp_path, field, value, words):
+        cfg = scenario_dict()
+        cfg["detector"] = dict(cfg["detector"], **{field: value})
+        cfg["train"] = dict(cfg["train"], n_pulses=20000)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))  # inf is written as Infinity
+        code, _, err = run("simulate", "--config", path, "--out", tmp_path / "x.ptg1")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        for word in words:
+            assert word in err
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

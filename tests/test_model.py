@@ -1,5 +1,6 @@
 """Units, domain dataclasses, and their validation rules."""
 
+import dataclasses
 import math
 
 import pytest
@@ -80,6 +81,9 @@ class TestEmitterSpec:
             ("blink_on_rate_per_s", -1.0),
             ("blink_off_rate_per_s", -1.0),
             ("spectral_diffusion_sigma_uev", -0.5),
+            ("t1_slow_ps", math.inf),
+            ("energy_uev", math.nan),
+            ("blink_on_rate_per_s", math.inf),
         ],
     )
     def test_out_of_range_fields_rejected(self, field, value):
@@ -162,6 +166,8 @@ class TestDetectorSpec:
             {"efficiency": -0.1},
             {"efficiency": 1.1},
             {"dead_time_ps": -5.0},
+            {"irf_fwhm_ps": math.inf},
+            {"dead_time_ps": math.inf},
         ],
     )
     def test_out_of_range_detector_fields_rejected(self, kw):
@@ -184,3 +190,36 @@ class TestPulseTrainSpec:
     def test_empty_train_is_a_valid_degenerate_case(self):
         t = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=0)
         assert t.span_ps == 0.0
+
+
+_VALID_SPECS = [
+    make_emitter(),
+    hs.CircuitSpec(reflectance=0.48, pol_overlap=0.95, classical_visibility=0.9),
+    hs.DetectorSpec(irf_fwhm_ps=80.0, dark_rate_cps=300.0, dead_time_ps=20000.0),
+    hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=10, source_delay_ps=500.0),
+]
+
+
+_FLOAT_FIELDS = [
+    (spec, f.name)
+    for spec in _VALID_SPECS
+    for f in dataclasses.fields(spec)
+    if isinstance(getattr(spec, f.name), (float, tuple))
+]
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    _FLOAT_FIELDS,
+    ids=["%s.%s" % (type(spec).__name__, name) for spec, name in _FLOAT_FIELDS],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_float_field_must_be_finite(spec, name, bad):
+    value = getattr(spec, name)
+    bad_value = (value[0], bad) + value[2:] if isinstance(value, tuple) else bad
+    with pytest.raises(hs.ValidationError, match=name):
+        dataclasses.replace(spec, **{name: bad_value})
+
+
+def test_classical_visibility_may_stay_unset():
+    assert hs.CircuitSpec(reflectance=0.5, classical_visibility=None).contrast_cap == 1.0

@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import homsim as hs
-from helpers import emitter_long_t2, emitter_short_t2, make_emitter
+from homsim import simulate
+from helpers import (
+    blink_gate_reference,
+    blink_probabilities,
+    emitter_long_t2,
+    emitter_short_t2,
+    make_emitter,
+    prune_dead_time_reference,
+    reference_circuit,
+)
 
 
 def _train(n_pulses=20000, rep=76.0, delay=0.0):
@@ -295,6 +306,101 @@ class TestRunSimulation:
             out[name] = pa
         sig = np.hypot(out["sync"].g2_zero_err, out["delayed"].g2_zero_err)
         assert out["delayed"].g2_zero > out["sync"].g2_zero + 2.0 * sig
+
+
+@st.composite
+def _dead_time_cases(draw):
+    """Sorted tags whose same-channel gaps hit dead, dead +- 1 and 0 often."""
+    dead = draw(st.integers(0, 40))
+    gaps = draw(
+        st.lists(
+            st.sampled_from([0, 1, dead - 1, dead, dead + 1, 2 * dead])
+            | st.integers(0, 3 * dead + 3),
+            max_size=200,
+        )
+    )
+    offset = draw(st.integers(0, 2**40))
+    times = offset + np.cumsum(np.maximum(gaps, 0), dtype=np.int64)
+    layout = draw(st.sampled_from(["only0", "only1", "interleaved"]))
+    if layout == "interleaved":
+        channels = np.array(
+            draw(st.lists(st.integers(0, 1), min_size=times.size, max_size=times.size)),
+            dtype=np.uint8,
+        )
+    else:
+        channels = np.full(times.size, layout == "only1", dtype=np.uint8)
+    dead_ps = draw(
+        st.sampled_from([float(dead), dead - 0.5, dead + 0.25, 0.0, 1e12])
+        | st.floats(0.0, 3.0 * dead + 3.0)
+    )
+    return times, channels, dead_ps
+
+
+class TestDeadTimeMatchesSequentialRule:
+    @given(_dead_time_cases())
+    @example((np.empty(0, np.int64), np.empty(0, np.uint8), 5.0))
+    @example((np.array([3, 3, 3, 8, 8]), np.zeros(5, np.uint8), 5.0))
+    @example((np.array([0, 5, 10, 14, 19]), np.array([0, 0, 0, 1, 1], np.uint8), 5.0))
+    @example((np.array([0, 4, 6, 9, 12]), np.zeros(5, np.uint8), 5.0))
+    @example((np.array([0, 1, 2]), np.array([0, 1, 0], np.uint8), 0.0))
+    @example((np.array([10, 20, 30]), np.array([1, 0, 1], np.uint8), 100.0))
+    def test_equals_reference(self, case):
+        times, channels, dead_ps = case
+        got = simulate._prune_dead_time(times, channels, dead_ps)
+        assert got.dtype == bool
+        assert np.array_equal(got, prune_dead_time_reference(times, channels, dead_ps))
+
+
+class TestBlinkGateMatchesSequentialRule:
+    @pytest.mark.parametrize(
+        "k_on,k_off",
+        [
+            (2.0e6, 1.0e6),  # the benchmark's rates
+            (0.0, 1.0e6),  # never switches on after an off pulse
+            (1.0e6, 0.0),  # stays on once on
+            (1.0e15, 2.0e15),  # decay underflows to 0: no carry band
+            (1.0, 2.0),  # decay about 1: nearly every pulse carries
+        ],
+    )
+    def test_equals_reference_across_chunk_boundaries(self, k_on, k_off):
+        e = make_emitter(blink_on_rate_per_s=k_on, blink_off_rate_per_s=k_off)
+        train = _train(3 * simulate._CHUNK_PULSES + 17)
+        _, p_on_on, p_off_on = blink_probabilities(e, train)
+        assert p_off_on <= p_on_on
+        for stream_id in (1, 2):
+            got = simulate._blink_gate(e, train, 31, stream_id)
+            assert np.array_equal(got, blink_gate_reference(e, train, 31, stream_id))
+
+
+class TestObjectPathMatchesColumnarCore:
+    def test_route_and_detect_of_emission_streams_equals_run_simulation(
+        self, monkeypatch
+    ):
+        e1 = emitter_short_t2(
+            blink_on_rate_per_s=2.0e6, blink_off_rate_per_s=1.0e6,
+            double_prob=0.05, spectral_diffusion_sigma_uev=2.0,
+        )
+        e2 = emitter_long_t2(
+            blink_on_rate_per_s=1.5e6, blink_off_rate_per_s=1.0e6,
+            double_prob=0.03, spectral_diffusion_sigma_uev=3.0,
+        )
+        cir = reference_circuit()
+        det = hs.DetectorSpec(
+            irf_fwhm_ps=80.0, dark_rate_cps=50000.0, efficiency=0.6, dead_time_ps=20000.0
+        )
+        train = _train(150000)  # more than two chunks
+        seed = 501
+        objects = hs.route_and_detect(
+            hs.generate_emission_stream(e1, train, 1, seed),
+            hs.generate_emission_stream(e2, train, 2, seed),
+            cir, det, train, seed, kernel=hs.kernel_params(e1, e2, cir),
+        )
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HOMSIM_THREADS", workers)
+            stream, c = hs.run_simulation(e1, e2, cir, det, train, seed)
+            assert min(c.dark_counts, c.dead_time_pruned, c.pairs_interfered) > 0
+            assert np.array_equal(objects.times_ps, stream.times_ps)
+            assert np.array_equal(objects.channels, stream.channels)
 
 
 class TestRouteAndDetect:
