@@ -139,11 +139,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _peak_spans(analysis, period_ps, offset_ps):
-    half = analysis.n_side // 2
     return [
         (k * period_ps + offset_ps - analysis.delta_t_ps / 2.0,
          k * period_ps + offset_ps + analysis.delta_t_ps / 2.0)
-        for k in range(-half, half + 1)
+        for k in correlate._k_range(analysis.n_side).tolist()
     ]
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import get_type_hints
 
 from .model import (
     CircuitSpec,
@@ -66,42 +67,6 @@ def _boolean(value, path):
     return value
 
 
-def _take_fields(obj: dict, path: str, required: dict, optional: dict) -> dict:
-    out = {}
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigurationError("%s.%s: unknown key" % (path, key))
-    for key, cast in required.items():
-        if key not in obj:
-            raise ConfigurationError("%s.%s: missing required key" % (path, key))
-        out[key] = cast(obj[key], "%s.%s" % (path, key))
-    for key, cast in optional.items():
-        if key in obj:
-            out[key] = cast(obj[key], "%s.%s" % (path, key))
-    return out
-
-
-def _parse_emitter(obj, path) -> EmitterSpec:
-    fields = _take_fields(
-        _expect_mapping(obj, path),
-        path,
-        required={
-            "energy_uev": _number,
-            "t1_fast_ps": _number,
-            "t1_slow_ps": _number,
-            "slow_fraction": _number,
-            "t2_ps": _number,
-            "emission_prob": _number,
-            "double_prob": _number,
-            "blink_on_rate_per_s": _number,
-            "blink_off_rate_per_s": _number,
-            "spectral_diffusion_sigma_uev": _number,
-        },
-        optional={},
-    )
-    return EmitterSpec(**fields)
-
-
 def _arm_transmission(value, path):
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise ConfigurationError("%s: expected a list of four numbers" % path)
@@ -114,97 +79,66 @@ def _optional_number(value, path):
     return _number(value, path)
 
 
-def _parse_circuit(obj, path) -> CircuitSpec:
-    fields = _take_fields(
-        _expect_mapping(obj, path),
-        path,
-        required={
-            "reflectance": _number,
-            "pol_overlap": _number,
-            "arm_transmission": _arm_transmission,
-            "classical_visibility": _optional_number,
-        },
-        optional={},
-    )
-    return CircuitSpec(**fields)
+# Reader for each field annotation used by the spec dataclasses.
+_READERS = {
+    "float": _number,
+    "int": _integer,
+    "bool": _boolean,
+    "float | None": _optional_number,
+    "tuple[float, float, float, float]": _arm_transmission,
+}
 
 
-def _parse_detector(obj, path) -> DetectorSpec:
-    fields = _take_fields(
-        _expect_mapping(obj, path),
-        path,
-        required={
-            "irf_fwhm_ps": _number,
-            "dark_rate_cps": _number,
-            "efficiency": _number,
-            "dead_time_ps": _number,
-        },
-        optional={},
-    )
-    return DetectorSpec(**fields)
+def _parse_spec(cls, obj, path, required):
+    """Build cls from one JSON block, reading each field by its annotation.
 
-
-def _parse_train(obj, path) -> PulseTrainSpec:
-    fields = _take_fields(
-        _expect_mapping(obj, path),
-        path,
-        required={
-            "rep_rate_mhz": _number,
-            "n_pulses": _integer,
-            "source_delay_ps": _number,
-        },
-        optional={},
-    )
-    return PulseTrainSpec(**fields)
-
-
-def _parse_analysis(obj, path) -> AnalysisSpec:
-    fields = _take_fields(
-        _expect_mapping(obj, path),
-        path,
-        required={},
-        optional={
-            "bin_width_ps": _number,
-            "window_ps": _number,
-            "delta_t_ps": _number,
-            "n_side": _integer,
-            "background_correction": _boolean,
-        },
-    )
-    return AnalysisSpec(**fields)
+    Keys that are not fields of cls are rejected. With required, every
+    field must be given; otherwise absent fields keep the class defaults.
+    """
+    readers = {f.name: _READERS[f.type] for f in fields(cls)}
+    for key in _expect_mapping(obj, path):
+        if key not in readers:
+            raise ConfigurationError("%s.%s: unknown key" % (path, key))
+    values = {}
+    for key, read in readers.items():
+        if key in obj:
+            values[key] = read(obj[key], "%s.%s" % (path, key))
+        elif required:
+            raise ConfigurationError("%s.%s: missing required key" % (path, key))
+    return cls(**values)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario from JSON text."""
+    """Parse and validate a scenario from JSON text.
+
+    Each block is read into the spec class its ScenarioConfig field names.
+    Blocks without a default (the physics) and all their fields are
+    required; the analysis block and each of its fields may be left out.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError("invalid JSON: %s" % exc)
     obj = _expect_mapping(obj, "config")
-    known = {"emitter1", "emitter2", "circuit", "detector", "train", "seed", "analysis"}
+    blocks = {f.name: f for f in fields(ScenarioConfig)}
     for key in obj:
-        if key not in known:
+        if key not in blocks:
             raise ConfigurationError("config.%s: unknown key" % key)
-    for key in ("emitter1", "emitter2", "circuit", "detector", "train", "seed"):
-        if key not in obj:
+    for key, f in blocks.items():
+        if key not in obj and f.default_factory is MISSING:
             raise ConfigurationError("config.%s: missing required key" % key)
     seed = _integer(obj["seed"], "config.seed")
     if not 0 <= seed < 2**64:
         raise ConfigurationError("config.seed: must be an unsigned 64-bit integer")
-    analysis = (
-        _parse_analysis(obj["analysis"], "config.analysis")
-        if "analysis" in obj
-        else AnalysisSpec()
-    )
-    return ScenarioConfig(
-        emitter1=_parse_emitter(obj["emitter1"], "config.emitter1"),
-        emitter2=_parse_emitter(obj["emitter2"], "config.emitter2"),
-        circuit=_parse_circuit(obj["circuit"], "config.circuit"),
-        detector=_parse_detector(obj["detector"], "config.detector"),
-        train=_parse_train(obj["train"], "config.train"),
-        seed=seed,
-        analysis=analysis,
-    )
+    spec_classes = get_type_hints(ScenarioConfig)
+    specs = {
+        key: _parse_spec(
+            spec_classes[key], obj[key], "config." + key, f.default_factory is MISSING
+        )
+        for key, f in blocks.items()
+        if key != "seed" and key in obj
+    }
+    return ScenarioConfig(seed=seed, **specs)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -212,51 +146,13 @@ def load_scenario(path) -> ScenarioConfig:
         return parse_scenario(fh.read())
 
 
-def _emitter_dict(e: EmitterSpec) -> dict:
-    return {
-        "energy_uev": e.energy_uev,
-        "t1_fast_ps": e.t1_fast_ps,
-        "t1_slow_ps": e.t1_slow_ps,
-        "slow_fraction": e.slow_fraction,
-        "t2_ps": e.t2_ps,
-        "emission_prob": e.emission_prob,
-        "double_prob": e.double_prob,
-        "blink_on_rate_per_s": e.blink_on_rate_per_s,
-        "blink_off_rate_per_s": e.blink_off_rate_per_s,
-        "spectral_diffusion_sigma_uev": e.spectral_diffusion_sigma_uev,
-    }
+def _lists_for_tuples(items) -> dict:
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in items}
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "emitter1": _emitter_dict(cfg.emitter1),
-        "emitter2": _emitter_dict(cfg.emitter2),
-        "circuit": {
-            "reflectance": cfg.circuit.reflectance,
-            "pol_overlap": cfg.circuit.pol_overlap,
-            "arm_transmission": list(cfg.circuit.arm_transmission),
-            "classical_visibility": cfg.circuit.classical_visibility,
-        },
-        "detector": {
-            "irf_fwhm_ps": cfg.detector.irf_fwhm_ps,
-            "dark_rate_cps": cfg.detector.dark_rate_cps,
-            "efficiency": cfg.detector.efficiency,
-            "dead_time_ps": cfg.detector.dead_time_ps,
-        },
-        "train": {
-            "rep_rate_mhz": cfg.train.rep_rate_mhz,
-            "n_pulses": cfg.train.n_pulses,
-            "source_delay_ps": cfg.train.source_delay_ps,
-        },
-        "seed": cfg.seed,
-        "analysis": {
-            "bin_width_ps": cfg.analysis.bin_width_ps,
-            "window_ps": cfg.analysis.window_ps,
-            "delta_t_ps": cfg.analysis.delta_t_ps,
-            "n_side": cfg.analysis.n_side,
-            "background_correction": cfg.analysis.background_correction,
-        },
-    }
+    """The JSON-ready form of cfg: every spec field, tuples as lists."""
+    return asdict(cfg, dict_factory=_lists_for_tuples)
 
 
 def scenario_to_json(cfg: ScenarioConfig) -> str:

@@ -151,7 +151,7 @@ def cross_correlate(tags, bin_width_ps: float, window_ps: float) -> CorrelationH
     )
 
 
-def _peak_centers(window_ps, period_ps, delay_ps, k_values):
+def _peak_centers(period_ps, delay_ps, k_values):
     return delay_ps + period_ps * np.asarray(k_values, dtype=float)
 
 
@@ -196,7 +196,7 @@ def estimate_background(
         )
     centers = hist.bin_centers_ps
     k_max = int(np.ceil((hist.window_ps + abs(delay_ps)) / period_ps)) + 1
-    peak_pos = _peak_centers(hist.window_ps, period_ps, delay_ps, np.arange(-k_max, k_max + 1))
+    peak_pos = _peak_centers(period_ps, delay_ps, np.arange(-k_max, k_max + 1))
     # each bin lies between peak_pos[right - 1] and peak_pos[right]
     right = np.searchsorted(peak_pos, centers)
     past = centers - peak_pos[right - 1]
@@ -312,7 +312,7 @@ def integrate_peaks(
             % (outermost, hist.window_ps)
         )
     centers = hist.bin_centers_ps
-    peak_pos = _peak_centers(hist.window_ps, period_ps, delay_ps, ks)
+    peak_pos = _peak_centers(period_ps, delay_ps, ks)
     raw = np.empty(ks.size, dtype=float)
     nbins = np.empty(ks.size, dtype=np.int64)
     for i, c in enumerate(peak_pos):

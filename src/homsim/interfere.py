@@ -81,11 +81,17 @@ def kernel_params(
     )
 
 
-def coherence_kernel(tau_ps, params: InterferenceKernelParams):
-    """Mutual coherence D(tau); accepts scalars or arrays, |D| <= overlap."""
+def coherence_kernel(tau_ps, params: InterferenceKernelParams, freq_offset_uev=0.0):
+    """Mutual coherence D(tau); accepts scalars or arrays, |D| <= overlap.
+
+    freq_offset_uev is the pair's extra detuning on top of params.delta_rad_ps:
+    the simulator passes each interfering pair's spectral-diffusion offsets
+    (source 1 minus source 2), elementwise with tau_ps.
+    """
     tau = np.asarray(tau_ps, dtype=float)
     a = params.gstar1 + params.gstar2
-    out = params.overlap * np.cos(params.delta_rad_ps * tau) * np.exp(-np.abs(tau) * a)
+    delta = params.delta_rad_ps + detuning_to_angular(freq_offset_uev)
+    out = params.overlap * np.cos(delta * tau) * np.exp(-np.abs(tau) * a)
     return out if out.ndim else float(out)
 
 
@@ -182,9 +188,8 @@ def visibility_numeric(
     t = np.arange(n) * step_ps
     p1 = np.exp(-t / t1a)
     p2 = np.exp(-t / t1b)
-    a = e1.pure_dephasing_rate + e2.pure_dephasing_rate
     lags = np.arange(-(n - 1), n) * step_ps - delay_ps
-    kern = np.cos(detuning_to_angular(delta_uev) * lags) * np.exp(-np.abs(lags) * a)
+    kern = coherence_kernel(lags, kernel_params(e1, e2, CircuitSpec(), delta_uev))
     # s[i] = sum_j p2[j] * kern(t_i - t_j - delay)
     s = fftconvolve(p2, kern)[n - 1 : 2 * n - 1]
     return float(pol_overlap * np.sum(p1 * s) / (np.sum(p1) * np.sum(p2)))

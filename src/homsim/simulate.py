@@ -1,6 +1,14 @@
 """Monte Carlo engine: pulsed emission, splitter routing with pairwise
 two-photon interference, losses, timing jitter, dark counts, dead time.
 
+run_simulation is the one simulation core. It works on whole columns, one
+chunk of pulses at a time: per source, a primary photon and an optional
+extra slow-branch photon per pulse, gated by the blinking telegraph. A
+pulse in which exactly one photon of each source survives to the coupler
+interferes through interfere.coherence_kernel; every other photon routes
+classically. The chunks' tags are merged with the dark counts, sorted and
+pruned for dead time.
+
 Randomness comes from counter-based generators with a fixed number of
 words consumed per pulse, so any pulse range can be generated
 independently: results are identical for every chunking and worker count.
@@ -19,15 +27,15 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .interfere import InterferenceKernelParams, kernel_params
+from .interfere import InterferenceKernelParams, coherence_kernel, kernel_params
 from .model import (
-    HBAR_UEV_PS,
     CircuitSpec,
     ConfigurationError,
     DetectorSpec,
     EmitterSpec,
     PulseTrainSpec,
     ValidationError,
+    detuning_to_angular,
 )
 
 _EMIT_WORDS = 8  # per pulse: emit, component, decay, double, double-decay,
@@ -38,23 +46,6 @@ _STREAM_CIRCUIT = 3
 _STREAM_DARK0 = 4
 _STREAM_DARK1 = 5
 _CHUNK_PULSES = 1 << 16
-
-
-@dataclass(frozen=True)
-class PhotonEvent:
-    """One emitted photon.
-
-    emit_time_ps is absolute (pulse start + per-source delay + decay draw);
-    component records which decay branch produced it; freq_offset_uev is
-    the quasi-static per-photon frequency offset (0 with spectral
-    diffusion off).
-    """
-
-    source_id: int
-    pulse_index: int
-    emit_time_ps: float
-    component: str
-    freq_offset_uev: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -124,13 +115,19 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _philox(seed: int, stream_id: int) -> Philox:
+    # an explicit uint64 key: numpy turns a list holding an int >= 2^63
+    # into float64, which merges neighbouring seeds
+    return Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+
+
 def _stream_words(seed: int, stream_id: int, p0: int, n: int, width: int) -> np.ndarray:
     """Uniform words for pulses [p0, p0+n), shape (n, width).
 
     width must be a multiple of 4 so pulse boundaries align with the
     4-word counter blocks of the generator.
     """
-    bitgen = Philox(key=[seed, stream_id])
+    bitgen = _philox(seed, stream_id)
     if p0:
         bitgen.advance(p0 * width // 4)
     return Generator(bitgen).random((n, width))
@@ -221,87 +218,6 @@ def _emission_columns(
     }
 
 
-def generate_emission_stream(
-    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int
-) -> list[PhotonEvent]:
-    """All photons a source emits over the pulse train, sorted by time.
-
-    Per pulse (with the blinking gate on): a primary photon with
-    probability emission_prob whose decay time mixes the fast and slow
-    branches, plus — with probability double_prob — one extra photon from
-    the slow branch in the same cycle. Deterministic for fixed
-    (seed, source_id).
-    """
-    if source_id not in (1, 2):
-        raise ValidationError("source_id must be 1 or 2")
-    gate = _blink_gate(emitter, train, seed, source_id)
-    events: list[PhotonEvent] = []
-    for p0 in range(0, train.n_pulses, _CHUNK_PULSES):
-        p1 = min(p0 + _CHUNK_PULSES, train.n_pulses)
-        col = _emission_columns(emitter, train, source_id, seed, p0, p1, gate)
-        pulses = np.arange(p0, p1)
-        for idx in np.flatnonzero(col["has_a"]):
-            events.append(
-                PhotonEvent(
-                    source_id=source_id,
-                    pulse_index=int(pulses[idx]),
-                    emit_time_ps=float(col["t_a"][idx]),
-                    component="slow" if col["slow_a"][idx] else "fast",
-                    freq_offset_uev=float(col["f_a"][idx]),
-                )
-            )
-        for idx in np.flatnonzero(col["has_b"]):
-            events.append(
-                PhotonEvent(
-                    source_id=source_id,
-                    pulse_index=int(pulses[idx]),
-                    emit_time_ps=float(col["t_b"][idx]),
-                    component="slow",
-                    freq_offset_uev=float(col["f_b"][idx]),
-                )
-            )
-    events.sort(key=lambda e: (e.emit_time_ps, e.pulse_index))
-    return events
-
-
-def pair_interference_outcome(
-    p1: PhotonEvent,
-    p2: PhotonEvent,
-    params: InterferenceKernelParams,
-    u_pair: float,
-    u_assign: float,
-) -> tuple[int, int]:
-    """Channels for one interfering photon pair.
-
-    With tau the emission-time difference, the photons land on different
-    channels with probability P_c = r^2 + t^2 - 2rt*D(tau) (D includes the
-    pair's frequency offsets); otherwise both exit one uniformly drawn
-    channel. Returns (channel of p1, channel of p2).
-    """
-    if p1.source_id == p2.source_id:
-        raise ValidationError("interfering photons must come from different sources")
-    if p1.pulse_index != p2.pulse_index:
-        raise ValidationError("interfering photons must share a pulse cycle")
-    a, b = (p1, p2) if p1.source_id == 1 else (p2, p1)
-    tau = a.emit_time_ps - b.emit_time_ps
-    delta_eff = params.delta_rad_ps + (a.freq_offset_uev - b.freq_offset_uev) / HBAR_UEV_PS
-    d = (
-        params.overlap
-        * np.cos(delta_eff * tau)
-        * np.exp(-abs(tau) * (params.gstar1 + params.gstar2))
-    )
-    r = params.reflectance
-    t = 1.0 - r
-    p_cross = r * r + t * t - 2.0 * r * t * d
-    if u_pair < p_cross:
-        both_bar = u_assign < (r * r) / (r * r + t * t)
-        ch_a, ch_b = (0, 1) if both_bar else (1, 0)
-    else:
-        ch = 0 if u_assign < 0.5 else 1
-        ch_a = ch_b = ch
-    return (ch_a, ch_b) if p1.source_id == 1 else (ch_b, ch_a)
-
-
 def _order_slots(col):
     """Reorder each pulse's two slots so slot a holds the earlier photon."""
     both = col["has_a"] & col["has_b"]
@@ -323,7 +239,7 @@ def _route_chunk(
     col2,
     circuit: CircuitSpec,
     det: DetectorSpec,
-    kparams: InterferenceKernelParams | None,
+    kparams: InterferenceKernelParams,
     seed: int,
 ):
     """Route one pulse chunk through the splitter; returns tags + counters."""
@@ -360,11 +276,6 @@ def _route_chunk(
 
     pairs_interfered = int(paired.sum())
     if pairs_interfered:
-        if kparams is None:
-            raise ConfigurationError(
-                "interference kernel parameters are required when photons "
-                "from both sources can meet"
-            )
         idx = np.flatnonzero(paired)
         s1_slot = np.where(sv[0][idx], 0, 1)
         s2_slot = np.where(sv[2][idx], 2, 3)
@@ -372,13 +283,7 @@ def _route_chunk(
         fa = np.where(s1_slot == 0, f1a[idx], f1b[idx])
         tb = np.where(s2_slot == 2, t2a[idx], t2b[idx])
         fb = np.where(s2_slot == 2, f2a[idx], f2b[idx])
-        tau = ta - tb
-        delta_eff = kparams.delta_rad_ps + (fa - fb) / HBAR_UEV_PS
-        d = (
-            kparams.overlap
-            * np.cos(delta_eff * tau)
-            * np.exp(-np.abs(tau) * (kparams.gstar1 + kparams.gstar2))
-        )
+        d = coherence_kernel(ta - tb, kparams, fa - fb)
         p_cross = r * r + t * t - 2.0 * r * t * d
         u_pair = u[idx, 16]
         u_assign = u[idx, 17]
@@ -419,7 +324,7 @@ def _dark_counts(det: DetectorSpec, span_ps: float, seed: int):
     times = []
     chans = []
     for ch, stream in ((0, _STREAM_DARK0), (1, _STREAM_DARK1)):
-        rng = Generator(Philox(key=[seed, stream]))
+        rng = Generator(_philox(seed, stream))
         mu = det.dark_rate_cps * span_ps * 1e-12
         try:
             n = int(rng.poisson(mu)) if mu > 0 else 0
@@ -479,27 +384,34 @@ def _dead_time_chain(t: np.ndarray, dead: int) -> np.ndarray:
     return on[:m]
 
 
-def _merge_and_finalize(parts_t, parts_c, dark_t, dark_c, det, seed, counters):
-    emitted, detected, pairs = counters
-    times = np.concatenate(parts_t + [dark_t]) if parts_t else dark_t
-    chans = np.concatenate(parts_c + [dark_c]) if parts_c else dark_c
-    order = np.lexsort((chans, times))
-    times = times[order]
-    chans = chans[order]
-    keep = _prune_dead_time(times, chans, det.dead_time_ps)
-    pruned = int(keep.size - keep.sum())
-    times = times[keep]
-    chans = chans[keep]
-    stream = TimeTagStream(times_ps=times, channels=chans, seed=seed)
-    stats = SimulationCounters(
-        photons_emitted=emitted,
-        photons_detected=detected,
-        dark_counts=int(dark_t.size),
-        dead_time_pruned=pruned,
-        pairs_interfered=pairs,
-        tags_written=stream.n_records,
-    )
-    return stream, stats
+def _require_representable(
+    e1: EmitterSpec, e2: EmitterSpec, det: DetectorSpec, train: PulseTrainSpec
+) -> None:
+    """Reject specs whose draws overflow the tag clock or the pair kernel.
+
+    A decay draw is below -ln(2^-53) < 37 lifetimes and a Gaussian draw
+    below 9 sigma. The latest tag must stay under 2^62 ps, so that tags
+    and tag + dead time fit the int64 picosecond clock. For a pair,
+    |tau| < delay + 37 lifetimes, and the kernel's phase delta*tau and
+    exponent (gs1 + gs2)*|tau| must be finite.
+    """
+    slowest = max(max(e.t1_fast_ps, e.t1_slow_ps) for e in (e1, e2))
+    t_max = train.span_ps + train.source_delay_ps + 37.0 * slowest + 9.0 * det.irf_sigma_ps
+    if not t_max < 2.0**62:
+        raise ValidationError(
+            "tag times up to %g ps do not fit the int64 picosecond tag clock; "
+            "shorten the pulse train, the lifetimes or the IRF" % t_max
+        )
+    sd = e1.spectral_diffusion_sigma_uev + e2.spectral_diffusion_sigma_uev
+    detuning = abs(e1.energy_uev - e2.energy_uev) + 9.0 * sd
+    dephasing = e1.pure_dephasing_rate + e2.pure_dephasing_rate
+    tau_max = train.source_delay_ps + 37.0 * slowest
+    if not math.isfinite((detuning_to_angular(detuning) + dephasing) * tau_max):
+        raise ValidationError(
+            "the two-photon kernel overflows: detuning up to %g ueV and pure "
+            "dephasing %g per ps over pair delays up to %g ps"
+            % (detuning, dephasing, tau_max)
+        )
 
 
 def run_simulation(
@@ -517,6 +429,7 @@ def run_simulation(
     """
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must fit in 64 bits")
+    _require_representable(emitter1, emitter2, det, train)
     kparams = kernel_params(emitter1, emitter2, circuit)
     gate1 = _blink_gate(emitter1, train, seed, 1)
     gate2 = _blink_gate(emitter2, train, seed, 2)
@@ -534,100 +447,22 @@ def run_simulation(
             results = list(pool.map(work, starts))
     else:
         results = [work(p0) for p0 in starts]
-    parts_t = [res[0] for res in results]
-    parts_c = [res[1] for res in results]
-    emitted = sum(res[2] for res in results)
-    detected = sum(res[3] for res in results)
-    pairs = sum(res[4] for res in results)
     dark_t, dark_c = _dark_counts(det, train.span_ps, seed)
-    return _merge_and_finalize(
-        parts_t, parts_c, dark_t, dark_c, det, seed, (emitted, detected, pairs)
+    times = np.concatenate([res[0] for res in results] + [dark_t])
+    chans = np.concatenate([res[1] for res in results] + [dark_c])
+    order = np.lexsort((chans, times))
+    times = times[order]
+    chans = chans[order]
+    keep = _prune_dead_time(times, chans, det.dead_time_ps)
+    stream = TimeTagStream(times_ps=times[keep], channels=chans[keep], seed=seed)
+    return stream, SimulationCounters(
+        photons_emitted=sum(res[2] for res in results),
+        photons_detected=sum(res[3] for res in results),
+        dark_counts=int(dark_t.size),
+        dead_time_pruned=int(keep.size - keep.sum()),
+        pairs_interfered=sum(res[4] for res in results),
+        tags_written=stream.n_records,
     )
-
-
-def _events_to_columns(events, train: PulseTrainSpec, expect_source: int):
-    n = train.n_pulses
-    col = {
-        "has_a": np.zeros(n, dtype=bool),
-        "t_a": np.zeros(n),
-        "f_a": np.zeros(n),
-        "has_b": np.zeros(n, dtype=bool),
-        "t_b": np.zeros(n),
-        "f_b": np.zeros(n),
-    }
-    if not events:
-        return col
-    last_t = -np.inf
-    for e in events:
-        if e.emit_time_ps < last_t:
-            raise ValidationError("event list must be sorted by emission time")
-        last_t = e.emit_time_ps
-        if e.source_id != expect_source:
-            raise ValidationError(
-                "all events on input port %d must come from source %d"
-                % (expect_source, expect_source)
-            )
-        p = e.pulse_index
-        if not 0 <= p < n:
-            raise ValidationError("pulse_index %d outside the pulse train" % p)
-        if not col["has_a"][p]:
-            col["has_a"][p] = True
-            col["t_a"][p] = e.emit_time_ps
-            col["f_a"][p] = e.freq_offset_uev
-        elif not col["has_b"][p]:
-            col["has_b"][p] = True
-            col["t_b"][p] = e.emit_time_ps
-            col["f_b"][p] = e.freq_offset_uev
-        else:
-            raise ValidationError(
-                "more than two photons in pulse %d from source %d"
-                % (p, expect_source)
-            )
-    return col
-
-
-def route_and_detect(
-    events1,
-    events2,
-    circuit: CircuitSpec,
-    det: DetectorSpec,
-    train: PulseTrainSpec,
-    seed: int,
-    kernel: InterferenceKernelParams | None = None,
-) -> TimeTagStream:
-    """Convert two sorted emission-event lists into a detector tag stream.
-
-    Surviving photons route through the splitter; whenever exactly one
-    photon from each source survives in a pulse cycle, the pair interferes
-    (kernel required in that case). Jitter, dark counts, and dead time are
-    applied as configured.
-    """
-    if kernel is not None and abs(kernel.reflectance - circuit.reflectance) > 1e-12:
-        raise ValidationError(
-            "kernel reflectance %g disagrees with circuit reflectance %g"
-            % (kernel.reflectance, circuit.reflectance)
-        )
-    col1 = _events_to_columns(events1, train, 1)
-    col2 = _events_to_columns(events2, train, 2)
-    parts_t = []
-    parts_c = []
-    emitted = detected = pairs = 0
-    for p0 in range(0, train.n_pulses, _CHUNK_PULSES):
-        p1 = min(p0 + _CHUNK_PULSES, train.n_pulses)
-        sl = slice(p0, p1)
-        c1 = {k: v[sl] for k, v in col1.items()}
-        c2 = {k: v[sl] for k, v in col2.items()}
-        tt, cc, em, dt, pr = _route_chunk(p0, c1, c2, circuit, det, kernel, seed)
-        parts_t.append(tt)
-        parts_c.append(cc)
-        emitted += em
-        detected += dt
-        pairs += pr
-    dark_t, dark_c = _dark_counts(det, train.span_ps, seed)
-    stream, _ = _merge_and_finalize(
-        parts_t, parts_c, dark_t, dark_c, det, seed, (emitted, detected, pairs)
-    )
-    return stream
 
 
 def delayed_reference(train: PulseTrainSpec, delay_ps: float = 500.0) -> PulseTrainSpec:

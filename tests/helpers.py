@@ -10,7 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 import homsim as hs
-from homsim.simulate import _CHUNK_PULSES, _EMIT_WORDS, _stream_words
+from homsim.simulate import (
+    _CHUNK_PULSES,
+    _EMIT_WORDS,
+    _blink_gate,
+    _emission_columns,
+    _stream_words,
+)
 
 
 def make_emitter(
@@ -144,6 +150,17 @@ def scenario_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def emission_columns(emitter, train, source_id, seed):
+    """One source's emission columns over the whole train, blink gate applied.
+
+    Keys: has_a/t_a/slow_a/f_a for the primary photon of each pulse and
+    has_b/t_b/f_b for the extra slow-branch photon. Times and offsets are
+    drawn for every pulse; only those with has_a/has_b set are photons.
+    """
+    gate = _blink_gate(emitter, train, seed, source_id)
+    return _emission_columns(emitter, train, source_id, seed, 0, train.n_pulses, gate)
 
 
 def blink_probabilities(emitter, train):

@@ -342,6 +342,17 @@ class TestExitCodes:
         for word in words:
             assert word in err
 
+    def test_lifetime_beyond_tag_clock_exits_2(self, run, tmp_path):
+        cfg = scenario_dict()
+        cfg["emitter1"] = dict(cfg["emitter1"], t1_slow_ps=1e300)
+        cfg["train"] = dict(cfg["train"], n_pulses=20000)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run("simulate", "--config", path, "--out", tmp_path / "x.ptg1")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "int64 picosecond tag clock" in err
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

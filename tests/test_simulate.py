@@ -1,8 +1,11 @@
 """Monte Carlo engine: emission, routing, detection, determinism."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import homsim as hs
@@ -10,6 +13,7 @@ from homsim import simulate
 from helpers import (
     blink_gate_reference,
     blink_probabilities,
+    emission_columns,
     emitter_long_t2,
     emitter_short_t2,
     make_emitter,
@@ -26,151 +30,133 @@ def _off_emitter():
     return make_emitter(emission_prob=0.0)
 
 
+def _delays(col, train, slot="a"):
+    """Emission delays after the pulse start of the photons in one slot."""
+    has = col["has_" + slot]
+    return col["t_" + slot][has] - np.flatnonzero(has) * train.period_ps
+
+
 class TestEmission:
     def test_silent_emitter_emits_nothing(self):
-        events = hs.generate_emission_stream(_off_emitter(), _train(1000), 1, seed=1)
-        assert events == []
+        col = emission_columns(_off_emitter(), _train(1000), 1, seed=1)
+        assert not col["has_a"].any()
+        assert not col["has_b"].any()
 
     def test_unit_probability_emits_once_per_pulse(self):
         e = make_emitter(emission_prob=1.0)
-        events = hs.generate_emission_stream(e, _train(5000), 1, seed=2)
-        assert len(events) == 5000
-        assert sorted({ev.pulse_index for ev in events}) == list(range(5000))
+        col = emission_columns(e, _train(5000), 1, seed=2)
+        assert col["has_a"].all()
+        assert not col["has_b"].any()
 
-    def test_events_sorted_by_time(self):
-        e = make_emitter(emission_prob=0.7, slow_fraction=0.1)
-        events = hs.generate_emission_stream(e, _train(5000), 1, seed=3)
-        times = [ev.emit_time_ps for ev in events]
-        assert times == sorted(times)
+    def test_photon_times_finite_and_after_pulse_start(self):
+        e = make_emitter(emission_prob=0.7, slow_fraction=0.1, double_prob=0.2)
+        train = _train(5000, delay=500.0)
+        for source, start in ((1, 0.0), (2, 500.0)):
+            col = emission_columns(e, train, source, seed=3)
+            for slot in ("a", "b"):
+                d = _delays(col, train, slot)
+                assert d.size > 0
+                assert np.all(np.isfinite(d))
+                assert np.all(d >= start)
 
     def test_slow_component_fraction_matches_binomial(self):
         frac = 0.3
         e = make_emitter(emission_prob=1.0, slow_fraction=frac)
-        events = hs.generate_emission_stream(e, _train(20000), 1, seed=4)
-        n = len(events)
-        slow = sum(ev.component == "slow" for ev in events)
+        col = emission_columns(e, _train(20000), 1, seed=4)
+        n = int(col["has_a"].sum())
+        slow = int(col["slow_a"][col["has_a"]].sum())
         sigma = np.sqrt(n * frac * (1 - frac))
         assert abs(slow - frac * n) <= 3.0 * sigma
 
     def test_fast_component_mean_delay_matches_lifetime(self):
         e = make_emitter(emission_prob=1.0, t1_fast_ps=720.0, slow_fraction=0.0)
         train = _train(20000)
-        events = hs.generate_emission_stream(e, train, 1, seed=5)
-        delays = np.array(
-            [ev.emit_time_ps - ev.pulse_index * train.period_ps for ev in events]
-        )
+        delays = _delays(emission_columns(e, train, 1, seed=5), train)
         assert abs(delays.mean() - 720.0) <= 3.0 * 720.0 / np.sqrt(delays.size)
 
     def test_source_two_carries_intentional_delay(self):
         e = make_emitter(emission_prob=1.0, slow_fraction=0.0)
         train = _train(20000, delay=500.0)
-        ev1 = hs.generate_emission_stream(e, train, 1, seed=6)
-        ev2 = hs.generate_emission_stream(e, train, 2, seed=6)
-        d1 = np.mean(
-            [ev.emit_time_ps - ev.pulse_index * train.period_ps for ev in ev1]
-        )
-        d2 = np.mean(
-            [ev.emit_time_ps - ev.pulse_index * train.period_ps for ev in ev2]
-        )
+        d1 = _delays(emission_columns(e, train, 1, seed=6), train).mean()
+        d2 = _delays(emission_columns(e, train, 2, seed=6), train).mean()
         assert d2 - d1 == pytest.approx(500.0, abs=4.0 * 600.0 / np.sqrt(20000))
 
     def test_double_emission_adds_slow_branch_photon(self):
         frac = 0.5
         n_pulses = 20000
         e = make_emitter(emission_prob=1.0, double_prob=frac)
-        events = hs.generate_emission_stream(e, _train(n_pulses), 1, seed=7)
-        per_pulse = {}
-        for ev in events:
-            per_pulse.setdefault(ev.pulse_index, []).append(ev)
-        doubles = [v for v in per_pulse.values() if len(v) == 2]
+        train = _train(n_pulses)
+        col = emission_columns(e, train, 1, seed=7)
+        doubles = int(col["has_b"].sum())
         sigma = np.sqrt(n_pulses * frac * (1 - frac))
-        assert abs(len(doubles) - frac * n_pulses) <= 3.0 * sigma
+        assert abs(doubles - frac * n_pulses) <= 3.0 * sigma
         # the extra photon always rides the long-lived branch
-        assert all(any(ev.component == "slow" for ev in v) for v in doubles)
+        delays = _delays(col, train, "b")
+        assert abs(delays.mean() - e.t1_slow_ps) <= 3.0 * e.t1_slow_ps / np.sqrt(doubles)
 
     def test_spectral_diffusion_offsets_have_configured_spread(self):
         e = make_emitter(emission_prob=1.0, spectral_diffusion_sigma_uev=2.0)
-        events = hs.generate_emission_stream(e, _train(20000), 1, seed=8)
-        offs = np.array([ev.freq_offset_uev for ev in events])
+        col = emission_columns(e, _train(20000), 1, seed=8)
+        offs = col["f_a"][col["has_a"]]
         assert abs(offs.std() - 2.0) <= 0.1
         assert abs(offs.mean()) <= 3.0 * 2.0 / np.sqrt(offs.size)
 
     def test_same_seed_reproduces_exact_stream(self):
         e = make_emitter(emission_prob=0.6, slow_fraction=0.05)
-        a = hs.generate_emission_stream(e, _train(3000), 1, seed=9)
-        b = hs.generate_emission_stream(e, _train(3000), 1, seed=9)
-        assert a == b
-        c = hs.generate_emission_stream(e, _train(3000), 2, seed=9)
-        assert a != c  # independent per-source streams
+        a = emission_columns(e, _train(3000), 1, seed=9)
+        b = emission_columns(e, _train(3000), 1, seed=9)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        c = emission_columns(e, _train(3000), 2, seed=9)
+        # independent per-source streams
+        assert not np.array_equal(a["has_a"], c["has_a"])
+        assert not np.array_equal(a["t_a"], c["t_a"])
 
 
 class TestPairOutcome:
-    def _params(self, reflectance=0.5, overlap=1.0, t2_frac=1.0):
-        e = make_emitter(t1_fast_ps=600.0, t2_ps=t2_frac * 1200.0)
-        return hs.kernel_params(
-            e, e, hs.CircuitSpec(reflectance=reflectance, pol_overlap=overlap)
-        )
+    """Every pulse is one interfering pair: both sources always emit, no
+    slow branch, no loss, so the two tags of a pulse split across the
+    channels with the kernel's P_c = r^2 + t^2 - 2rt*D(tau)."""
 
-    def _photon(self, source, t, f=0.0):
-        return hs.PhotonEvent(
-            source_id=source, pulse_index=0, emit_time_ps=t, component="fast",
-            freq_offset_uev=f,
+    N = 20000
+
+    def _split_fraction(self, seed, reflectance=0.5, overlap=1.0, t2_ps=1200.0):
+        e = make_emitter(t1_fast_ps=600.0, t2_ps=t2_ps, emission_prob=1.0)
+        cir = hs.CircuitSpec(reflectance=reflectance, pol_overlap=overlap)
+        train = _train(self.N)
+        stream, c = hs.run_simulation(
+            e, e, cir, hs.DetectorSpec(efficiency=1.0), train, seed
         )
+        assert c.pairs_interfered == self.N
+        # rint can put a tag just before its pulse start: shift by period/4
+        pulse = np.floor((stream.times_ps + train.period_ps / 4) / train.period_ps)
+        pulse = pulse.astype(np.int64)
+        assert np.array_equal(np.bincount(pulse, minlength=self.N), np.full(self.N, 2))
+        ones = np.bincount(pulse, weights=stream.channels, minlength=self.N)
+        return float(np.mean(ones == 1)), e
+
+    def _within_4_sigma(self, frac, p):
+        assert abs(frac - p) <= 4.0 * np.sqrt(p * (1.0 - p) / self.N)
 
     def test_perfect_coalescence_never_splits(self):
-        p = self._params()
-        for u_pair in (0.0, 0.3, 0.999999):
-            ch1, ch2 = hs.pair_interference_outcome(
-                self._photon(1, 100.0), self._photon(2, 100.0), p, u_pair, 0.2
-            )
-            assert ch1 == ch2
+        # Fourier-limited identical photons on a balanced coupler: P_c = 0
+        for seed in (3, 4, 5):
+            frac, _ = self._split_fraction(seed)
+            assert frac == 0.0
 
     def test_distinguishable_pair_splits_half_the_time(self):
-        p = self._params(overlap=0.0)
-        ch_same = hs.pair_interference_outcome(
-            self._photon(1, 0.0), self._photon(2, 0.0), p, 0.5 + 1e-9, 0.2
-        )
-        ch_cross = hs.pair_interference_outcome(
-            self._photon(1, 0.0), self._photon(2, 0.0), p, 0.5 - 1e-9, 0.2
-        )
-        assert ch_same[0] == ch_same[1]
-        assert ch_cross[0] != ch_cross[1]
+        frac, _ = self._split_fraction(6, overlap=0.0)
+        self._within_4_sigma(frac, 0.5)
 
     def test_unbalanced_coupler_residual_cross_probability(self):
-        # r=0.48, perfect overlap: P_cross = 0.48^2 + 0.52^2 - 2*0.48*0.52
-        p = self._params(reflectance=0.48)
-        t = 100.0
-        below = hs.pair_interference_outcome(
-            self._photon(1, t), self._photon(2, t), p, 0.0015, 0.0
-        )
-        above = hs.pair_interference_outcome(
-            self._photon(1, t), self._photon(2, t), p, 0.0017, 0.0
-        )
-        assert below[0] != below[1]
-        assert above[0] == above[1]
+        # r = 0.48, perfect overlap: P_c = r^2 + t^2 - 2rt = (r - t)^2
+        frac, _ = self._split_fraction(7, reflectance=0.48)
+        self._within_4_sigma(frac, (0.48 - 0.52) ** 2)
 
     def test_emission_time_gap_restores_distinguishability(self):
-        # strong dephasing: tau far beyond the coherence time behaves classically
-        p = self._params(t2_frac=0.05)  # T2 = 60 ps
-        ch = hs.pair_interference_outcome(
-            self._photon(1, 0.0), self._photon(2, 2000.0), p, 0.499, 0.2
-        )
-        assert ch[0] != ch[1]  # P_c has relaxed back to ~0.5
-
-    def test_same_source_pair_rejected(self):
-        p = self._params()
-        with pytest.raises(hs.ValidationError):
-            hs.pair_interference_outcome(
-                self._photon(1, 0.0), self._photon(1, 10.0), p, 0.5, 0.5
-            )
-
-    def test_cross_pulse_pair_rejected(self):
-        p = self._params()
-        ph2 = hs.PhotonEvent(
-            source_id=2, pulse_index=1, emit_time_ps=0.0, component="fast"
-        )
-        with pytest.raises(hs.ValidationError):
-            hs.pair_interference_outcome(self._photon(1, 0.0), ph2, p, 0.5, 0.5)
+        # strong dephasing (T2 = 60 ps): pairs further apart in emission
+        # time than T2 split classically, so P_c averages to (1 - V) / 2
+        frac, e = self._split_fraction(8, t2_ps=60.0)
+        self._within_4_sigma(frac, 0.5 * (1.0 - hs.visibility_closed_form(e, e)))
 
 
 class TestRunSimulation:
@@ -200,6 +186,18 @@ class TestRunSimulation:
             s1.n_records == s3.n_records
             and np.array_equal(s1.times_ps, s3.times_ps)
         )
+
+    def test_seeds_above_2_63_get_their_own_stream(self):
+        det = hs.DetectorSpec(efficiency=1.0, dark_rate_cps=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [
+                self._run(seed=s, n=2000, detector=det)
+                for s in (2**63 + 1, 2**63 + 2, 2**64 - 1)
+            ]
+        for i, (a, _) in enumerate(runs):
+            for b, _ in runs[i + 1 :]:
+                assert not np.array_equal(a.times_ps, b.times_ps)
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         streams = []
@@ -372,10 +370,23 @@ class TestBlinkGateMatchesSequentialRule:
             assert np.array_equal(got, blink_gate_reference(e, train, 31, stream_id))
 
 
-class TestObjectPathMatchesColumnarCore:
-    def test_route_and_detect_of_emission_streams_equals_run_simulation(
-        self, monkeypatch
-    ):
+class TestRunSimulationRegression:
+    """The tag stream of a scenario that uses every stage, pinned at the
+    seed: blinking, double emission, spectral diffusion, jitter, dark
+    counts and dead time over more than two chunks. Any change to these
+    numbers is a golden change and must be declared."""
+
+    SHA256 = "a4603dc2ddaf76d17fa9d81f583e28e48354148e62226d65f6d3f5ff490a476a"
+    COUNTERS = {
+        "photons_emitted": 99884,
+        "photons_detected": 59791,
+        "dark_counts": 201,
+        "dead_time_pruned": 14367,
+        "pairs_interfered": 5424,
+        "tags_written": 45625,
+    }
+
+    def test_tag_stream_digest_and_counters(self, monkeypatch):
         e1 = emitter_short_t2(
             blink_on_rate_per_s=2.0e6, blink_off_rate_per_s=1.0e6,
             double_prob=0.05, spectral_diffusion_sigma_uev=2.0,
@@ -384,65 +395,153 @@ class TestObjectPathMatchesColumnarCore:
             blink_on_rate_per_s=1.5e6, blink_off_rate_per_s=1.0e6,
             double_prob=0.03, spectral_diffusion_sigma_uev=3.0,
         )
-        cir = reference_circuit()
         det = hs.DetectorSpec(
             irf_fwhm_ps=80.0, dark_rate_cps=50000.0, efficiency=0.6, dead_time_ps=20000.0
         )
-        train = _train(150000)  # more than two chunks
-        seed = 501
-        objects = hs.route_and_detect(
-            hs.generate_emission_stream(e1, train, 1, seed),
-            hs.generate_emission_stream(e2, train, 2, seed),
-            cir, det, train, seed, kernel=hs.kernel_params(e1, e2, cir),
-        )
         for workers in ("1", "2"):
             monkeypatch.setenv("HOMSIM_THREADS", workers)
-            stream, c = hs.run_simulation(e1, e2, cir, det, train, seed)
-            assert min(c.dark_counts, c.dead_time_pruned, c.pairs_interfered) > 0
-            assert np.array_equal(objects.times_ps, stream.times_ps)
-            assert np.array_equal(objects.channels, stream.channels)
-
-
-class TestRouteAndDetect:
-    def test_kernel_reflectance_must_match_circuit(self):
-        e = make_emitter()
-        cir = hs.CircuitSpec(reflectance=0.48, pol_overlap=1.0)
-        other = hs.kernel_params(e, e, hs.CircuitSpec(reflectance=0.5, pol_overlap=1.0))
-        ev = hs.generate_emission_stream(
-            make_emitter(emission_prob=0.5), _train(100), 1, seed=1
-        )
-        with pytest.raises(hs.ValidationError):
-            hs.route_and_detect(
-                ev, [], cir, hs.DetectorSpec(), _train(100), seed=1, kernel=other
+            stream, c = hs.run_simulation(
+                e1, e2, reference_circuit(), det, _train(150000), seed=501
             )
+            digest = hashlib.sha256(
+                stream.times_ps.astype("<i8").tobytes()
+                + stream.channels.astype("u1").tobytes()
+            ).hexdigest()
+            assert c.as_dict() == self.COUNTERS
+            assert digest == self.SHA256
 
-    def test_three_photons_in_one_pulse_rejected(self):
-        mk = lambda t: hs.PhotonEvent(
-            source_id=1, pulse_index=0, emit_time_ps=t, component="fast"
-        )
-        with pytest.raises(hs.ValidationError):
-            hs.route_and_detect(
-                [mk(10.0), mk(20.0), mk(30.0)],
-                [],
-                hs.CircuitSpec(0.5, 1.0),
-                hs.DetectorSpec(),
-                _train(10),
-                seed=1,
-            )
 
-    def test_unsorted_events_rejected(self):
-        mk = lambda t, p: hs.PhotonEvent(
-            source_id=1, pulse_index=p, emit_time_ps=t, component="fast"
+class TestTagClockBound:
+    """Every time a spec can produce must fit the int64 picosecond clock."""
+
+    def _run(self, e1=None, det=None, train=None):
+        return hs.run_simulation(
+            e1 or emitter_short_t2(), emitter_long_t2(), reference_circuit(),
+            det or hs.DetectorSpec(irf_fwhm_ps=80.0, efficiency=0.3),
+            train or _train(2000), seed=20260815,
         )
-        with pytest.raises(hs.ValidationError):
-            hs.route_and_detect(
-                [mk(500.0, 0), mk(100.0, 1)],
-                [],
-                hs.CircuitSpec(0.5, 1.0),
-                hs.DetectorSpec(),
-                _train(10),
-                seed=1,
-            )
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"e1": emitter_short_t2(t1_slow_ps=1e300)},
+            {"e1": emitter_short_t2(t1_fast_ps=1e18)},
+            {"det": hs.DetectorSpec(irf_fwhm_ps=1e300)},
+            {"train": _train(2000, rep=1e-12)},
+        ],
+        ids=["t1_slow", "t1_fast", "irf", "rep_rate"],
+    )
+    def test_times_beyond_the_clock_rejected(self, kw):
+        with pytest.raises(hs.ValidationError, match="int64 picosecond tag clock"):
+            self._run(**kw)
+
+    def test_huge_train_inside_the_clock_runs(self):
+        # period 2^50 ps: 2000 pulses end near 2^61 ps, inside the bound
+        train = _train(2000, rep=1e6 / 2.0**50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream, c = self._run(train=train)
+        assert c.tags_written == c.photons_detected > 0
+        assert stream.times_ps[-1] > 2**60
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def _any_valid_scenario(draw):
+    """Specs over their whole finite domains, with at most 2,000 pulses.
+
+    Each unbounded field is a typical value three times in four and any
+    finite value otherwise, so that both the runs and the rejections of
+    huge values are exercised.
+    """
+
+    def value(typical, lo=0.0, positive=False):
+        if draw(st.integers(0, 3)):
+            return draw(_floats(lo, typical, exclude_min=positive))
+        return draw(_floats(-1e308 if lo < 0 else 0.0, 1e308, exclude_min=positive))
+
+    def emitter():
+        t1 = value(5000.0, positive=True)
+        return hs.EmitterSpec(
+            energy_uev=value(100.0, lo=-100.0),
+            t1_fast_ps=t1,
+            t1_slow_ps=value(1e5, positive=True),
+            slow_fraction=draw(_floats(0.0, 1.0, exclude_max=True)),
+            t2_ps=2.0 * t1 * draw(_floats(0.0, 1.0, exclude_min=True)),
+            emission_prob=draw(_floats(0.0, 1.0)),
+            double_prob=draw(_floats(0.0, 1.0, exclude_max=True)),
+            blink_on_rate_per_s=value(1e8),
+            blink_off_rate_per_s=value(1e8),
+            spectral_diffusion_sigma_uev=value(10.0),
+        )
+
+    try:
+        e1, e2 = emitter(), emitter()
+        circuit = hs.CircuitSpec(
+            reflectance=draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            pol_overlap=draw(_floats(0.0, 1.0)),
+            arm_transmission=tuple(draw(_floats(0.0, 1.0, exclude_min=True)) for _ in range(4)),
+            classical_visibility=draw(st.none() | _floats(0.0, 1.0)),
+        )
+        det = hs.DetectorSpec(
+            irf_fwhm_ps=value(500.0),
+            dark_rate_cps=value(1e6),
+            efficiency=draw(_floats(0.0, 1.0, exclude_min=True)),
+            dead_time_ps=value(1e5),
+        )
+        rep = value(1000.0, positive=True)
+        train = hs.PulseTrainSpec(
+            rep_rate_mhz=rep,
+            n_pulses=draw(st.integers(0, 2000)),
+            source_delay_ps=draw(_floats(0.0, 0.5, exclude_max=True)) * 1e6 / rep,
+        )
+    except hs.ValidationError:
+        # the draw broke a spec invariant (t2 or the delay underflowed)
+        assume(False)
+    # Expected dark counts per channel that numpy can draw but that would
+    # take gigabytes: a valid spec, only too large to run in a unit test.
+    mu = det.dark_rate_cps * train.span_ps * 1e-12
+    assume(not 1e5 < mu < 1e19)
+    return e1, e2, circuit, det, train, draw(st.integers(0, 2**64 - 1))
+
+
+class TestAnyValidSpec:
+    @settings(max_examples=150, deadline=None)
+    @given(_any_valid_scenario())
+    @example(
+        (
+            emitter_short_t2(t1_slow_ps=1e300, slow_fraction=0.5),
+            emitter_long_t2(),
+            reference_circuit(),
+            hs.DetectorSpec(irf_fwhm_ps=80.0, efficiency=0.3),
+            _train(2000),
+            20260815,
+        )
+    )
+    @example(
+        (
+            emitter_short_t2(energy_uev=1e308),
+            emitter_long_t2(energy_uev=-1e308),
+            reference_circuit(),
+            hs.DetectorSpec(efficiency=1.0),
+            _train(2000),
+            20260815,
+        )
+    )
+    def test_runs_to_sorted_balanced_tags_or_rejects(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                stream, c = hs.run_simulation(*case)
+            except hs.ValidationError:
+                return
+        assert stream.times_ps.dtype == np.int64
+        assert np.all(np.diff(stream.times_ps) >= 0)
+        assert c.tags_written == c.photons_detected + c.dark_counts - c.dead_time_pruned
+        assert stream.n_records == c.tags_written
 
 
 class TestDelayedReference:
