@@ -168,15 +168,14 @@ def _cmd_analyze_hom(args) -> None:
         delay_ps=args.comb_offset_ps,
     )
     headline = corrected if ana.background_correction else raw
-    eleven = correlate.integrate_peaks(
-        hist,
-        period,
-        ana.delta_t_ps,
-        n_side=10,
-        floor=floor if ana.background_correction else 0.0,
-        corrected=ana.background_correction,
+    raw11 = correlate.integrate_peaks(
+        hist, period, ana.delta_t_ps, n_side=10, delay_ps=args.comb_offset_ps
+    )
+    corr11 = correlate.integrate_peaks(
+        hist, period, ana.delta_t_ps, n_side=10, floor=floor, corrected=True,
         delay_ps=args.comb_offset_ps,
     )
+    eleven = corr11 if ana.background_correction else raw11
     narrow = correlate.integrate_peaks(
         hist,
         period,
@@ -200,13 +199,6 @@ def _cmd_analyze_hom(args) -> None:
     with open(peaks_csv, "w") as fh:
         fh.write("# period_ps=%g\n# delta_t_ps=%g\n" % (period, ana.delta_t_ps))
         fh.write("# k,area_raw,area_corrected,poisson_error\n")
-        raw11 = correlate.integrate_peaks(
-            hist, period, ana.delta_t_ps, n_side=10, delay_ps=args.comb_offset_ps
-        )
-        corr11 = correlate.integrate_peaks(
-            hist, period, ana.delta_t_ps, n_side=10, floor=floor, corrected=True,
-            delay_ps=args.comb_offset_ps,
-        )
         for k, a_r, a_c, err in zip(
             raw11.k_values, raw11.areas, corr11.areas, raw11.area_errors
         ):

@@ -1,10 +1,10 @@
 """Nonlinear least-squares solver and the fit models used by the toolkit.
 
-The solver is a damped (Levenberg-Marquardt) least-squares iteration with a
-numerically differentiated Jacobian. Decay and dip models convolve
-exponentials with a Gaussian timing response; the convolution is available
-both as a discrete grid operation and in exact closed form inside the
-models.
+The solver wraps scipy.optimize.least_squares (trust-region reflective, box
+bounds) and takes the covariance from the SVD of its Jacobian. Decay and dip
+models convolve exponentials with a Gaussian timing response; the
+convolution is available both as a discrete grid operation and in exact
+closed form inside the models.
 """
 
 from __future__ import annotations
@@ -60,24 +60,6 @@ class FitResult:
         }
 
 
-def _fd_step(p: np.ndarray) -> np.ndarray:
-    return np.maximum(1e-6 * np.abs(p), 1e-9)
-
-
-def residual_jacobian(resid_fn, p: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a residual vector w.r.t. parameters."""
-    p = np.asarray(p, dtype=float)
-    h = _fd_step(p)
-    cols = []
-    for j in range(p.size):
-        up = p.copy()
-        dn = p.copy()
-        up[j] += h[j]
-        dn[j] -= h[j]
-        cols.append((resid_fn(up) - resid_fn(dn)) / (2.0 * h[j]))
-    return np.column_stack(cols)
-
-
 def nlls_solve(
     model_fn,
     x: np.ndarray,
@@ -86,10 +68,8 @@ def nlls_solve(
     sigma=None,
     bounds=None,
     param_names: tuple[str, ...] | None = None,
-    max_iter: int = 200,
-    rel_cost_tol: float = 1e-10,
 ) -> FitResult:
-    """Damped least-squares fit of model_fn(x, p) to y.
+    """Bounded least-squares fit of model_fn(x, p) to y.
 
     Parameters
     ----------
@@ -99,27 +79,35 @@ def nlls_solve(
         Per-point 1-sigma weights. None means unweighted; in that case the
         covariance is rescaled by the reduced chi-square.
     bounds : sequence of (lo, hi) or None
-        Box constraints; trial steps are projected onto the box.
+        Box constraints; p0 must lie inside them.
     Notes
     -----
-    The Jacobian is computed by central differences with per-parameter step
-    max(1e-6*|p|, 1e-9). Iteration stops when the relative cost decrease of
-    an accepted step falls below 1e-10, or after max_iter iterations.
+    The solver is scipy.optimize.least_squares (trust-region reflective,
+    forward-difference Jacobian, variables scaled by the Jacobian's column
+    norms). status is "converged" when it meets a tolerance, "max_iter" when
+    it runs out of evaluations, and "singular" when the Jacobian at the
+    solution is rank deficient: its smallest singular value is at most
+    eps*max(J.shape) times the largest, the threshold curve_fit uses. The
+    covariance is (J^T J)^-1 from the SVD of J. n_iter counts Jacobian
+    evaluations.
     """
+    from scipy.optimize import least_squares
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p = np.array(p0, dtype=float)
     n_par = p.size
     if y.size <= n_par:
         raise ValidationError("need more data points than parameters")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
+        raise ValidationError("data and initial parameters must be finite")
     if sigma is None:
         w = np.ones_like(y)
-        absolute_sigma = False
     else:
         w = np.asarray(sigma, dtype=float)
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValidationError("sigma values must be strictly positive")
-        absolute_sigma = True
+    lo, hi = -np.inf, np.inf
     if bounds is not None:
         lo = np.array([b[0] for b in bounds], dtype=float)
         hi = np.array([b[1] for b in bounds], dtype=float)
@@ -137,85 +125,26 @@ def nlls_solve(
             )
         return (m - y) / w
 
-    def project(pv: np.ndarray) -> np.ndarray:
-        if bounds is None:
-            return pv
-        return np.clip(pv, lo, hi)
-
-    r = resid(p)
-    cost = float(r @ r)
-    lam = 1e-3
-    status = "max_iter"
-    n_iter = 0
-    jac = residual_jacobian(resid, p)
-
-    for n_iter in range(1, max_iter + 1):
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        if not np.all(np.isfinite(jtj)):
-            status = "singular"
-            break
-        if cost == 0.0:
-            status = "converged"
-            break
-        accepted = False
-        diag = np.diag(jtj).copy()
-        diag[diag == 0.0] = np.finfo(float).tiny
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                status = "singular"
-                break
-            if not np.all(np.isfinite(step)):
-                status = "singular"
-                break
-            p_try = project(p + step)
-            r_try = resid(p_try)
-            cost_try = float(r_try @ r_try)
-            if cost_try < cost:
-                accepted = True
-                rel_drop = (cost - cost_try) / max(cost, np.finfo(float).tiny)
-                p, r, cost = p_try, r_try, cost_try
-                lam = max(lam / 3.0, 1e-12)
-                if rel_drop < rel_cost_tol:
-                    status = "converged"
-                break
-            lam *= 10.0
-        if status == "singular":
-            break
-        if not accepted:
-            # Damping exhausted without improvement: stationary point.
-            status = "converged"
-            break
-        if status == "converged":
-            break
-        jac = residual_jacobian(resid, p)
-
-    jac = residual_jacobian(resid, p)
-    dof = max(y.size - n_par, 1)
-    red_chisq = cost / dof
-    jtj = jac.T @ jac
-    try:
-        cov = np.linalg.inv(jtj)
-        if not absolute_sigma:
+    sol = least_squares(resid, p, bounds=(lo, hi), method="trf", x_scale="jac")
+    cost = 2.0 * float(sol.cost)
+    red_chisq = cost / max(y.size - n_par, 1)
+    status = "converged" if sol.status > 0 else "max_iter"
+    _, s, vt = np.linalg.svd(sol.jac, full_matrices=False)
+    if s[-1] > np.finfo(float).eps * max(sol.jac.shape) * s[0]:
+        cov = (vt.T / s**2) @ vt
+        if sigma is None:
             cov = cov * red_chisq
-        unc = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
-        if not np.all(np.isfinite(cov)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
+    else:
         cov = np.full((n_par, n_par), np.inf)
-        unc = np.full(n_par, np.inf)
-        if status == "converged":
-            status = "singular"
+        status = "singular"
     return FitResult(
         param_names=tuple(param_names),
-        params=p,
-        uncertainties=unc,
+        params=sol.x,
+        uncertainties=np.sqrt(np.diag(cov)),
         covariance=cov,
         reduced_chisq=red_chisq,
         status=status,
-        n_iter=n_iter,
+        n_iter=int(sol.njev),
         cost=cost,
     )
 

@@ -264,6 +264,29 @@ class TestFitCommands:
         assert fit["params"]["tau_fast"] == pytest.approx(720.0, rel=0.05)
         assert "tau_fast" in out
 
+    def test_fit_decay_on_readme_folded_trace(self, run, tmp_path):
+        # the README session: 76 MHz fold with half the IRF rise wrapped to
+        # the end of the period; emitter 1 has tau_fast 720 ps, emitter 2 600
+        cfg = write_config(
+            tmp_path, train={"rep_rate_mhz": 76.0, "n_pulses": 1000000,
+                             "source_delay_ps": 0.0},
+        )
+        tags = tmp_path / "run.ptg1"
+        assert run("simulate", "--config", cfg, "--out", tags)[0] == 0
+        trace = tmp_path / "trace.csv"
+        assert run(
+            "timetrace", "--tags", tags, "--rep-rate-mhz", 76,
+            "--bin-width-ps", 20, "--out", trace,
+        )[0] == 0
+        report = tmp_path / "decay.json"
+        code, _, err = run(
+            "fit-decay", "--data", trace, "--irf-fwhm-ps", 80, "--out", report
+        )
+        assert code == 0, err
+        fit = json.loads(report.read_text())
+        assert fit["status"] == "converged"
+        assert 600.0 <= fit["params"]["tau_fast"] <= 720.0
+
     def test_fit_g2cw_closed_loop(self, run, tmp_path):
         # normalized dip generated from the same blurred-exponential form
         tau = np.arange(-6000.0, 6000.0, 20.0)
@@ -295,6 +318,15 @@ class TestFitCommands:
         t2 = float(out.split("t2_ps =")[1].split()[0])
         assert intrinsic == pytest.approx(13.5, rel=1e-6)
         assert t2 == pytest.approx(97.51288250370371, rel=1e-5)
+
+    def test_nan_sample_exits_2(self, run, tmp_path):
+        tau = np.arange(-3000.0, 3000.0, 20.0)
+        y = 1.0 - 0.8 * np.exp(-np.abs(tau) / 800.0)
+        y[5] = np.nan
+        p = write_xy(tmp_path, tau, y)
+        code, _, err = run("fit-g2cw", "--data", p, "--irf-fwhm-ps", 200)
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
 
     def test_flat_g2cw_exits_3(self, run, tmp_path):
         tau = np.arange(-3000.0, 3000.0, 20.0)

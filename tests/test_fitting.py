@@ -11,7 +11,6 @@ from homsim.fitting import (
     fit_g2cw,
     fit_lorentzian,
     nlls_solve,
-    residual_jacobian,
 )
 from helpers import poissonize
 
@@ -55,6 +54,27 @@ class TestSolver:
                 hits += 1
         assert hits >= 95
 
+    def test_line_covariance_is_inverse_normal_matrix(self):
+        # a linear model's covariance is (X^T W X)^-1, W = diag(1/sigma^2);
+        # the forward-difference Jacobian is exact up to ~sqrt(eps)
+        rng = np.random.default_rng(12)
+        x = np.linspace(0.0, 10.0, 25)
+        sigma = rng.uniform(0.05, 0.5, x.size)
+        y = 2.5 + 0.75 * x + rng.normal(0.0, sigma)
+        design = np.column_stack([np.ones_like(x), x])
+        normal = design.T @ (design / sigma[:, None] ** 2)
+        res = nlls_solve(_line, x, y, (0.0, 0.0), sigma=sigma)
+        assert res.status == "converged"
+        assert np.allclose(res.covariance, np.linalg.inv(normal), rtol=1e-6, atol=0.0)
+        assert np.allclose(res.uncertainties, np.sqrt(np.diag(res.covariance)))
+        # unweighted: scaled by the reduced chi-square of the fit
+        res = nlls_solve(_line, x, y, (0.0, 0.0))
+        resid = y - design @ res.params
+        red_chisq = (resid @ resid) / (x.size - 2)
+        assert res.reduced_chisq == pytest.approx(red_chisq, rel=1e-9)
+        expected = np.linalg.inv(design.T @ design) * red_chisq
+        assert np.allclose(res.covariance, expected, rtol=1e-6, atol=0.0)
+
     def test_unidentifiable_parameter_flagged_singular(self):
         def model(x, p):
             return p[0] + 0.0 * p[1] + 0.0 * x
@@ -84,29 +104,15 @@ class TestSolver:
         with pytest.raises(hs.ValidationError):
             nlls_solve(_line, np.array([1.0]), np.array([2.0]), (0.0, 0.0))
 
-    def test_jacobian_matches_cost_gradient(self):
-        # dC/dp for C = 0.5*sum(r^2) must equal J^T r with r = y - model.
-        rng = np.random.default_rng(11)
-        x = np.linspace(0.1, 8.0, 25)
-        y = _expdecay(x, (5.0, 2.0)) + rng.normal(0, 0.1, x.size)
-        def resid(pp):
-            return y - _expdecay(x, pp)
-
-        for _ in range(10):
-            p = np.array([rng.uniform(1, 8), rng.uniform(0.5, 5)])
-            jac = residual_jacobian(resid, p)
-            grad_from_jac = jac.T @ resid(p)
-            grad_fd = np.zeros_like(p)
-            for k in range(p.size):
-                h = max(1e-6 * abs(p[k]), 1e-9)
-                pp, pm = p.copy(), p.copy()
-                pp[k] += h
-                pm[k] -= h
-                cp = 0.5 * np.sum(resid(pp) ** 2)
-                cm = 0.5 * np.sum(resid(pm) ** 2)
-                grad_fd[k] = (cp - cm) / (2.0 * h)
-            scale = np.maximum(np.abs(grad_fd), 1e-9)
-            assert np.all(np.abs(grad_from_jac - grad_fd) / scale <= 1e-5)
+    @pytest.mark.parametrize("where", ["y", "p0", "sigma"])
+    def test_nan_input_rejected(self, where):
+        x = np.linspace(0.0, 10.0, 12)
+        y = 2.5 + 0.75 * x
+        p0 = np.zeros(2)
+        sigma = np.ones_like(x)
+        {"y": y, "p0": p0, "sigma": sigma}[where][1] = np.nan
+        with pytest.raises(hs.ValidationError):
+            nlls_solve(_line, x, y, p0, sigma=sigma)
 
 
 class TestConvolveGaussian:

@@ -265,6 +265,21 @@ class TestRunSimulation:
         duty = c_blk.photons_emitted / c_ref.photons_emitted
         assert duty == pytest.approx(0.5, abs=0.05)
 
+    def test_blink_rates_whose_sum_overflows_rejected(self):
+        # k_on + k_off = inf would leave the gate off for good, losing
+        # every photon without a word
+        def blinky(k):
+            return make_emitter(
+                emission_prob=1.0, blink_on_rate_per_s=k, blink_off_rate_per_s=k
+            )
+
+        det = hs.DetectorSpec(efficiency=1.0)
+        with pytest.raises(hs.ValidationError, match="blink_on_rate_per_s"):
+            self._run(seed=3, e1=blinky(1e308), e2=blinky(1e308), detector=det)
+        # switching far faster than the pulses: each pulse is on with p = 1/2
+        _, c = self._run(seed=3, e1=blinky(1e300), e2=blinky(1e300), detector=det)
+        assert abs(c.photons_emitted - 20000) <= 4.0 * np.sqrt(40000 * 0.25)
+
     def test_pairs_interfered_counted(self):
         _, c = self._run(
             detector=hs.DetectorSpec(efficiency=1.0),
