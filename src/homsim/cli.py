@@ -308,7 +308,7 @@ def _theory_emitter(t1_ps: float, t2_ps: float) -> model.EmitterSpec:
     return model.EmitterSpec(
         energy_uev=0.0,
         t1_fast_ps=t1_ps,
-        t1_slow_ps=10.0 * t1_ps,
+        t1_slow_ps=t1_ps,  # unused: slow_fraction is 0
         slow_fraction=0.0,
         t2_ps=t2_ps,
     )
@@ -321,7 +321,7 @@ def _cmd_theory(args) -> None:
         e1, e2, delta_uev=args.detuning_uev, pol_overlap=args.pol_overlap
     )
     print("V_closed_form = %.6f" % v)
-    bound = min(e1.t2_ps / (2.0 * e1.t1_fast_ps), e2.t2_ps / (2.0 * e2.t1_fast_ps))
+    bound = min(0.5 * e1.t2_ps / e1.t1_fast_ps, 0.5 * e2.t2_ps / e2.t1_fast_ps)
     print("single_emitter_bound = %.6f" % bound)
     if args.out:
         write_report(

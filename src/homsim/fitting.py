@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .model import ConfigurationError, ValidationError
 
@@ -190,6 +189,8 @@ def exp_conv_gauss(u, tau: float, sigma: float):
     if sigma == 0.0:
         out = np.where(u >= 0.0, np.exp(-np.clip(u, 0.0, None) / tau), 0.0)
         return out if out.ndim else float(out)
+    from scipy.special import erfcx
+
     z = (sigma / tau - u / sigma) / _SQRT2
     out = np.empty_like(u, dtype=float)
     safe = z < 25.0

@@ -13,11 +13,11 @@ visibility; for identical emitters it reduces to T2 / (2 T1).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .model import (
     CircuitSpec,
@@ -95,11 +95,13 @@ def coherence_kernel(tau_ps, params: InterferenceKernelParams, freq_offset_uev=0
     return out if out.ndim else float(out)
 
 
-def _check_visibility_inputs(e1: EmitterSpec, e2: EmitterSpec, pol_overlap: float) -> None:
+def _check_visibility_inputs(pol_overlap: float, delta_uev: float, delay_ps: float) -> None:
+    # EmitterSpec already enforces finite positive times and the Fourier limit.
     if not 0.0 <= pol_overlap <= 1.0:
         raise ValidationError("pol_overlap must be in [0, 1]")
-    # EmitterSpec already enforces positivity and the Fourier limit.
-    assert e1.t1_fast_ps > 0 and e2.t1_fast_ps > 0
+    for name, value in (("delta_uev", delta_uev), ("delay_ps", delay_ps)):
+        if not math.isfinite(value):
+            raise ValidationError("%s must be finite, got %r" % (name, value))
 
 
 def _exprel(z):
@@ -121,33 +123,37 @@ def visibility_closed_form(
     with source 2 excited delay_ps after source 1 (the kernel then sees the
     emission-time difference minus the delay):
 
-        V = pol * g1*g2 * Re[(g1 + g2 + 2A) / ((g1+A)(g2+A)(g1+g2))],
+        V = pol * c * Re[1/(g1+A) + 1/(g2+A)],   c = g1*g2/(g1+g2),
         A = (gs1 + gs2) + i * delta_omega
 
     at zero delay, and for a delay d > 0
 
         V = pol * c * Re[e^(-Ad)/(g2+A) + (e^(-g1 d) - e^(-Ad))/(A-g1)
-                         + e^(-g1 d)/(g1+A)],   c = g1*g2/(g1+g2),
+                         + e^(-g1 d)/(g1+A)],
 
     the middle term tending to d*e^(-g1 d) as A -> g1. A negative delay
     swaps the roles of the two emitters. For identical emitters at zero
-    detuning and zero delay this reduces to T2 / (2 T1).
+    detuning and zero delay this reduces to T2 / (2 T1). Each c/(g_i+A) is
+    evaluated as (T1_i/(T1_1+T1_2)) / (1 + A*T1_i), a ratio bounded by one
+    over a denominator of modulus at least one, so no intermediate overflows
+    at extreme lifetimes or detunings.
     """
-    _check_visibility_inputs(e1, e2, pol_overlap)
-    g1, g2 = e1.radiative_rate, e2.radiative_rate
+    _check_visibility_inputs(pol_overlap, delta_uev, delay_ps)
+    t1a, t1b = e1.t1_fast_ps, e2.t1_fast_ps
+    if delay_ps < 0.0:
+        t1a, t1b = t1b, t1a
     a = (e1.pure_dephasing_rate + e2.pure_dephasing_rate) + 1j * detuning_to_angular(delta_uev)
+    term1 = 1.0 / (1.0 + t1b / t1a) / (1.0 + a * t1a)
+    term2 = 1.0 / (1.0 + t1a / t1b) / (1.0 + a * t1b)
     if delay_ps == 0.0:
-        val = g1 * g2 * (g1 + g2 + 2.0 * a) / ((g1 + a) * (g2 + a) * (g1 + g2))
+        val = term1 + term2
     else:
-        if delay_ps < 0.0:
-            g1, g2 = g2, g1
+        g1 = 1.0 / t1a
         d = abs(delay_ps)
         # the slower-decaying exponential is factored out, so nothing overflows
         slow, fast = (g1, a) if a.real >= g1 else (a, g1)
-        middle = np.exp(-slow * d) * d * _exprel((slow - fast) * d)
-        val = (g1 * g2 / (g1 + g2)) * (
-            np.exp(-a * d) / (g2 + a) + middle + np.exp(-g1 * d) / (g1 + a)
-        )
+        middle = d * np.exp(-slow * d) * _exprel((slow - fast) * d) / (t1a + t1b)
+        val = np.exp(-a * d) * term2 + middle + np.exp(-g1 * d) * term1
     return float(pol_overlap * val.real)
 
 
@@ -168,7 +174,7 @@ def visibility_numeric(
     grid must span at least 10x the longer lifetime with a step no coarser
     than min(T1, T2)/50, otherwise a ConfigurationError is raised.
     """
-    _check_visibility_inputs(e1, e2, pol_overlap)
+    _check_visibility_inputs(pol_overlap, delta_uev, delay_ps)
     t1a, t1b = e1.t1_fast_ps, e2.t1_fast_ps
     max_step = min(t1a, t1b, e1.t2_ps, e2.t2_ps) / 50.0
     min_span = 10.0 * max(t1a, t1b)
@@ -190,8 +196,11 @@ def visibility_numeric(
     p2 = np.exp(-t / t1b)
     lags = np.arange(-(n - 1), n) * step_ps - delay_ps
     kern = coherence_kernel(lags, kernel_params(e1, e2, CircuitSpec(), delta_uev))
-    # s[i] = sum_j p2[j] * kern(t_i - t_j - delay)
-    s = fftconvolve(p2, kern)[n - 1 : 2 * n - 1]
+    # s[i] = sum_j p2[j] * kern(t_i - t_j - delay), entries n-1 .. 2n-2 of
+    # the linear convolution. A circular one of length m >= 2n-1 wraps only
+    # entries from m on, which land below n-1; m is a power of two for speed.
+    m = 1 << (2 * n - 2).bit_length()
+    s = np.fft.irfft(np.fft.rfft(p2, m) * np.fft.rfft(kern, m), m)[n - 1 : 2 * n - 1]
     return float(pol_overlap * np.sum(p1 * s) / (np.sum(p1) * np.sum(p2)))
 
 

@@ -92,6 +92,11 @@ class EmitterSpec:
         _require(self.t1_fast_ps > 0, "t1_fast_ps must be strictly positive")
         _require(self.t1_slow_ps > 0, "t1_slow_ps must be strictly positive")
         _require(self.t2_ps > 0, "t2_ps must be strictly positive")
+        for name in ("t1_fast_ps", "t2_ps"):
+            _require(
+                math.isfinite(1.0 / getattr(self, name)),
+                "%s is too short: its rate 1/%s overflows" % (name, name),
+            )
         _require(
             self.t2_ps <= 2.0 * self.t1_fast_ps + 1e-12 * self.t1_fast_ps,
             "t2_ps must not exceed 2*t1_fast_ps (Fourier limit)",
@@ -109,7 +114,7 @@ class EmitterSpec:
     @property
     def pure_dephasing_rate(self) -> float:
         """gamma* = 1/t2 - 1/(2 t1_fast), per ps; >= 0 by the Fourier limit."""
-        return max(1.0 / self.t2_ps - 1.0 / (2.0 * self.t1_fast_ps), 0.0)
+        return max(1.0 / self.t2_ps - 0.5 / self.t1_fast_ps, 0.0)
 
     @property
     def radiative_rate(self) -> float:

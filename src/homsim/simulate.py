@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .interfere import InterferenceKernelParams, coherence_kernel, kernel_params
 from .model import (
@@ -134,6 +133,8 @@ def _stream_words(seed: int, stream_id: int, p0: int, n: int, width: int) -> np.
 
 
 def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtri
+
     return ndtri(np.maximum(u, 2.0**-55))
 
 

@@ -60,6 +60,43 @@ class TestTheory:
         assert data["detuning_uev"] == 5.0
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_detuning_exits_2(self, run, value):
+        code, out, err = run(
+            "theory", "--t1-1", 720, "--t2-1", 100, "--t1-2", 600, "--t2-2", 440,
+            "--detuning-uev=" + value,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "delta_uev" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--detuning-uev", "1e300"],
+            ["--detuning-uev", "1e200"],
+            ["--t1-1", "1e-300", "--t2-1", "1e-300"],
+            ["--t1-1", "1e-300", "--t2-1", "1e-300", "--t1-2", "1e-300", "--t2-2", "1e-300"],
+            ["--t1-1", "1e308", "--t2-1", "1e308", "--t1-2", "1e308", "--t2-2", "1e308"],
+        ],
+    )
+    def test_extreme_but_valid_inputs_print_a_finite_visibility(self, run, extra):
+        code, out, _ = run(
+            "theory", "--t1-1", 720, "--t2-1", 100, "--t1-2", 600, "--t2-2", 440, *extra
+        )
+        assert code == 0
+        value = float(out.split("V_closed_form =")[1].split()[0])
+        bound = float(out.split("single_emitter_bound =")[1].split()[0])
+        assert np.isfinite(value) and 0.0 <= value <= 1.0
+        assert 0.0 < bound <= 1.0
+
+    def test_lifetime_whose_rate_overflows_exits_2(self, run):
+        code, _, err = run(
+            "theory", "--t1-1", "1e-320", "--t2-1", "1e-320", "--t1-2", 600, "--t2-2", 440
+        )
+        assert code == 2
+        assert err.startswith("error:") and "t1_fast_ps is too short" in err
+
+
 class TestCalibCommands:
     def test_splitter_reference_ratio(self, run):
         code, out, _ = run("calib-splitter", 51, 49, 46, 54)

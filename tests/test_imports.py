@@ -1,0 +1,53 @@
+"""Import cost: `import homsim` loads numpy only; scipy loads at first use."""
+
+import json
+import subprocess
+import sys
+
+import numpy as np
+
+import homsim as hs
+
+# Run in a fresh interpreter; after each step, record which scipy modules
+# are loaded. argv[1] is a small PTG1 file, argv[2] a scratch directory.
+_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {}
+import homsim
+seen["import homsim"] = scipy_modules()
+import homsim.cli
+seen["import homsim.cli"] = scipy_modules()
+code = homsim.cli.main(
+    ["theory", "--t1-1", "720", "--t2-1", "100", "--t1-2", "600", "--t2-2", "440"]
+)
+seen["theory"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
+code = homsim.cli.main(
+    ["timetrace", "--tags", sys.argv[1], "--rep-rate-mhz", "76",
+     "--out", sys.argv[2] + "/trace.csv"]
+)
+seen["timetrace"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
+print(json.dumps(seen))
+"""
+
+
+def test_homsim_and_light_commands_load_no_scipy(tmp_path):
+    times = np.cumsum(np.full(2000, 6581, dtype=np.int64))
+    tags = tmp_path / "small.ptg1"
+    hs.write_ptg1(tags, hs.TimeTagStream(times, (np.arange(times.size) % 2).astype(np.uint8)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(tags), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {
+        "import homsim": [],
+        "import homsim.cli": [],
+        "theory": [],
+        "timetrace": [],
+    }

@@ -107,6 +107,28 @@ class TestClosedFormVisibility:
             1.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("arg", ["delta_uev", "delay_ps"])
+    def test_non_finite_detuning_or_delay_rejected(self, arg, bad):
+        e1, e2 = emitter_short_t2(), emitter_long_t2()
+        for route in (hs.visibility_closed_form, hs.visibility_numeric):
+            with pytest.raises(hs.ValidationError, match=arg):
+                route(e1, e2, **{arg: bad})
+
+    @pytest.mark.parametrize("delta", [1e150, -1e200, 1e300, 1.7e308])
+    def test_huge_detuning_leaves_nothing_to_interfere(self, delta):
+        # products of (g+A) factors overflow at these detunings; V must not
+        v = hs.visibility_closed_form(emitter_short_t2(), emitter_long_t2(), delta, 1.0)
+        assert np.isfinite(v) and abs(v) < 1e-100
+
+    @pytest.mark.parametrize("t", [1e-300, 1e300, 1e308])
+    def test_single_emitter_reduction_at_extreme_lifetimes(self, t):
+        e = make_emitter(t1_fast_ps=t, t1_slow_ps=t, t2_ps=t)
+        assert hs.visibility_closed_form(e, e) == pytest.approx(0.5, rel=1e-12)
+        other = emitter_long_t2()
+        for v in (hs.visibility_closed_form(e, other), hs.visibility_closed_form(other, e)):
+            assert np.isfinite(v) and 0.0 <= v <= 1.0
+
     def test_quadrature_agrees_with_closed_form_at_reference_point(self):
         e1, e2 = emitter_short_t2(), emitter_long_t2()
         vq = hs.visibility_numeric(e1, e2, 0.0, 1.0)
@@ -234,6 +256,31 @@ class TestDelayedVisibility:
         e = make_emitter(t1_fast_ps=600.0, t2_ps=1.0)
         v = hs.visibility_closed_form(e, e, 0.0, 1.0, delay_ps=1.0e6)
         assert np.isfinite(v) and 0.0 <= v < 1e-12
+
+
+class TestQuadratureConvolution:
+    """visibility_numeric's FFT convolution against the plain double sum."""
+
+    @staticmethod
+    def _double_sum(e1, e2, delta_uev, delay_ps):
+        # the same grid visibility_numeric picks by default
+        step = min(e1.t1_fast_ps, e2.t1_fast_ps, e1.t2_ps, e2.t2_ps) / 50.0
+        n = int(np.ceil(10.0 * max(e1.t1_fast_ps, e2.t1_fast_ps) / step))
+        t = np.arange(n) * step
+        p1 = np.exp(-t / e1.t1_fast_ps)
+        p2 = np.exp(-t / e2.t1_fast_ps)
+        params = hs.kernel_params(e1, e2, hs.CircuitSpec(), delta_uev)
+        kern = hs.coherence_kernel(t[:, None] - t[None, :] - delay_ps, params)
+        return float(p1 @ kern @ p2 / (p1.sum() * p2.sum()))
+
+    @pytest.mark.parametrize("delay", [0.0, 500.0])
+    @pytest.mark.parametrize("delta", [0.0, 3.0])
+    def test_matches_direct_double_sum(self, delay, delta):
+        ea = make_emitter(t1_fast_ps=150.0, t2_ps=280.0)
+        eb = make_emitter(t1_fast_ps=120.0, t2_ps=200.0)
+        expected = self._double_sum(ea, eb, delta, delay)
+        got = hs.visibility_numeric(ea, eb, delta, 1.0, delay_ps=delay)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 class TestPostselectedVisibility:

@@ -90,6 +90,18 @@ class TestEmitterSpec:
         with pytest.raises(hs.ValidationError):
             make_emitter(**{field: value})
 
+    @pytest.mark.parametrize("field", ["t1_fast_ps", "t2_ps"])
+    def test_time_whose_rate_overflows_rejected(self, field):
+        # 1/1e-320 is inf: every rate-based formula downstream would be NaN
+        with pytest.raises(hs.ValidationError, match="%s is too short" % field):
+            make_emitter(**{field: 1e-320})
+
+    def test_extreme_but_representable_times_accepted(self):
+        for t in (1e-300, 1e300, 1e308):
+            e = make_emitter(t1_fast_ps=t, t1_slow_ps=t, t2_ps=t)
+            assert math.isfinite(e.radiative_rate)
+            assert e.pure_dephasing_rate == pytest.approx(0.5 / t, rel=1e-12)
+
     def test_validation_is_pure_same_message_every_time(self):
         def grab():
             try:
