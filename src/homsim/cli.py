@@ -17,7 +17,6 @@ from . import calib, correlate, fitting, interfere, model, simulate
 from .config import config_digest, load_scenario
 from .formats import (
     read_ptg1,
-    read_timetrace_csv,
     read_xy_csv,
     write_histogram_csv,
     write_ptg1,
@@ -369,10 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, ConfigurationError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, ConfigurationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (EstimationError, fitting.ModelDomainError, np.linalg.LinAlgError) as exc:

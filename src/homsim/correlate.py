@@ -8,14 +8,13 @@ peak ratios into the two-photon interference visibility.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fitting import nlls_solve
 from .model import ConfigurationError, EstimationError, ValidationError
-from .simulate import _worker_count
+from .simulate import _map_chunks
 
 
 def _as_times_channels(tags):
@@ -64,15 +63,6 @@ class CorrelationHistogram:
     @property
     def bin_centers_ps(self) -> np.ndarray:
         return -self.window_ps + self.bin_width_ps * (np.arange(self.n_bins) + 0.5)
-
-    def scaled(self, factor: float) -> "CorrelationHistogram":
-        return CorrelationHistogram(
-            bin_width_ps=self.bin_width_ps,
-            window_ps=self.window_ps,
-            counts=self.counts * factor,
-            total_pairs=self.total_pairs,
-            channel_pair=self.channel_pair,
-        )
 
 
 def _histogram_chunk(t0_chunk, times1, window, bin_width, n_bins):
@@ -129,20 +119,10 @@ def cross_correlate(tags, bin_width_ps: float, window_ps: float) -> CorrelationH
         )
     chunk = 1 << 14
     chunks = [t0[i : i + chunk] for i in range(0, t0.size, chunk)]
-    workers = min(_worker_count(), len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    lambda c: _histogram_chunk(c, t1, window_ps, bin_width_ps, n_bins),
-                    chunks,
-                )
-            )
-    else:
-        partials = [
-            _histogram_chunk(c, t1, window_ps, bin_width_ps, n_bins) for c in chunks
-        ]
-    counts = np.sum(partials, axis=0, dtype=np.int64) if partials else np.zeros(n_bins, np.int64)
+    partials = _map_chunks(
+        lambda c: _histogram_chunk(c, t1, window_ps, bin_width_ps, n_bins), chunks
+    )
+    counts = np.sum(partials, axis=0, dtype=np.int64)
     return CorrelationHistogram(
         bin_width_ps=float(bin_width_ps),
         window_ps=float(window_ps),

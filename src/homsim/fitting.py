@@ -9,11 +9,11 @@ closed form inside the models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigurationError, ValidationError
+from .model import FWHM_TO_SIGMA, ConfigurationError, ValidationError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -232,7 +232,7 @@ def fit_biexp_irf(
     """
     t = np.asarray(t_ps, dtype=float)
     y = np.asarray(counts, dtype=float)
-    sigma_irf = irf_fwhm_ps / 2.3548200450309493
+    sigma_irf = irf_fwhm_ps / FWHM_TO_SIGMA
     if sigma is None:
         sigma = np.sqrt(np.maximum(y, 1.0))
     if init is None:
@@ -269,17 +269,11 @@ def fit_biexp_irf(
         order = [0, 1, 3, 2, 4, 5]
         params = res.params[order].copy()
         params[4] = 1.0 - params[4]
-        unc = res.uncertainties[order]
-        cov = res.covariance[np.ix_(order, order)]
-        res = FitResult(
-            param_names=names,
+        res = replace(
+            res,
             params=params,
-            uncertainties=unc,
-            covariance=cov,
-            reduced_chisq=res.reduced_chisq,
-            status=res.status,
-            n_iter=res.n_iter,
-            cost=res.cost,
+            uncertainties=res.uncertainties[order],
+            covariance=res.covariance[np.ix_(order, order)],
         )
     return res
 
@@ -308,7 +302,7 @@ def fit_g2cw(
     """
     tau = np.asarray(tau_ps, dtype=float)
     y = np.asarray(g2, dtype=float)
-    sigma_irf = irf_fwhm_ps / 2.3548200450309493
+    sigma_irf = irf_fwhm_ps / FWHM_TO_SIGMA
     if init is None:
         g0_0 = float(np.clip(np.min(y), 0.0, 1.0))
         span = float(tau[-1] - tau[0])
@@ -352,7 +346,7 @@ def fit_lorentzian(
         fwhm0 = max(fwhm0, float(np.min(np.diff(e))))
         init = (height * np.pi * fwhm0 / 2.0, float(e[i_max]), fwhm0, base0)
     return nlls_solve(
-        lambda ee, p: _lorentzian_model(ee, p),
+        _lorentzian_model,
         e,
         yv,
         init,

@@ -150,10 +150,16 @@ def visibility_closed_form(
     else:
         g1 = 1.0 / t1a
         d = abs(delay_ps)
-        # the slower-decaying exponential is factored out, so nothing overflows
-        slow, fast = (g1, a) if a.real >= g1 else (a, g1)
-        middle = d * np.exp(-slow * d) * _exprel((slow - fast) * d) / (t1a + t1b)
-        val = np.exp(-a * d) * term2 + middle + np.exp(-g1 * d) * term1
+        if np.isfinite(a * d):
+            # the slower-decaying exponential is factored out, so nothing overflows
+            slow, fast = (g1, a) if a.real >= g1 else (a, g1)
+            middle = d * np.exp(-slow * d) * _exprel((slow - fast) * d) / (t1a + t1b)
+            val = np.exp(-a * d) * term2 + middle + np.exp(-g1 * d) * term1
+        else:
+            # A*d overflows: the e^(-Ad) terms vanish or have no computable
+            # phase. Their coefficients sum to -g1*g2/((g2+A)(A-g1)), of modulus
+            # below d^2/(3e616*T1_1*T1_2), so they are dropped.
+            val = np.exp(-g1 * d) * (term1 + 1.0 / ((a - g1) * (t1a + t1b)))
     return float(pol_overlap * val.real)
 
 

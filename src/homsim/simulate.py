@@ -2,18 +2,27 @@
 two-photon interference, losses, timing jitter, dark counts, dead time.
 
 run_simulation is the one simulation core. It works on whole columns, one
-chunk of pulses at a time: per source, a primary photon and an optional
-extra slow-branch photon per pulse, gated by the blinking telegraph. A
+chunk of pulses at a time, with four photon slots per pulse: rows 0/1 of
+each (4, n) array are source 1's primary and extra slow-branch photon, rows
+2/3 source 2's, each source's two ordered by emission time. The primary is
+gated by the blinking telegraph; the extra photon exists only with it. A
 pulse in which exactly one photon of each source survives to the coupler
 interferes through interfere.coherence_kernel; every other photon routes
 classically. The chunks' tags are merged with the dark counts, sorted and
 pruned for dead time.
 
 Randomness comes from counter-based generators with a fixed number of
-words consumed per pulse, so any pulse range can be generated
-independently: results are identical for every chunking and worker count.
-Streams are keyed (seed, stream_id) with stream 1/2 = emission of source
-1/2, 3 = circuit decisions, 4/5 = dark counts of channel 0/1.
+uniform words per pulse, so any pulse range can be generated independently:
+results are identical for every chunking and worker count. Streams are
+keyed (seed, stream_id):
+
+    1, 2  emission of source 1, 2; 8 words per pulse: 0 emit, 1 slow
+          branch, 2 primary decay, 3 double emission, 4 extra-photon decay,
+          5 primary frequency offset, 6 blink, 7 extra frequency offset
+    3     circuit; 20 words per pulse: 4s survival to the coupler, 4s+1
+          classical route, 4s+2 output loss, 4s+3 jitter for slot s = 0..3,
+          then 16 pair outcome, 17 pair assignment, 18-19 spare
+    4, 5  dark counts of channel 0, 1
 """
 
 from __future__ import annotations
@@ -21,12 +30,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .interfere import InterferenceKernelParams, coherence_kernel, kernel_params
+from .interfere import coherence_kernel, kernel_params
 from .model import (
     CircuitSpec,
     ConfigurationError,
@@ -37,10 +46,8 @@ from .model import (
     detuning_to_angular,
 )
 
-_EMIT_WORDS = 8  # per pulse: emit, component, decay, double, double-decay,
-#                  freq offset, blink, double freq offset
-_CIRCUIT_WORDS = 20  # per pulse: 4 photon slots x (survival, route, output
-#                      loss, jitter) + pair draw + assignment draw + 2 spare
+_EMIT_WORDS = 8
+_CIRCUIT_WORDS = 20
 _STREAM_CIRCUIT = 3
 _STREAM_DARK0 = 4
 _STREAM_DARK1 = 5
@@ -91,14 +98,7 @@ class SimulationCounters:
     tags_written: int
 
     def as_dict(self) -> dict:
-        return {
-            "photons_emitted": self.photons_emitted,
-            "photons_detected": self.photons_detected,
-            "dark_counts": self.dark_counts,
-            "dead_time_pruned": self.dead_time_pruned,
-            "pairs_interfered": self.pairs_interfered,
-            "tags_written": self.tags_written,
-        }
+        return asdict(self)
 
 
 def _worker_count() -> int:
@@ -112,6 +112,12 @@ def _worker_count() -> int:
             raise ConfigurationError("HOMSIM_THREADS must be >= 1")
         return n
     return os.cpu_count() or 1
+
+
+def _map_chunks(fn, items) -> list:
+    """[fn(item) for item in items], on a pool of up to _worker_count() threads."""
+    with ThreadPoolExecutor(max_workers=max(1, min(_worker_count(), len(items)))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _philox(seed: int, stream_id: int) -> Philox:
@@ -188,137 +194,98 @@ def _emission_columns(
     p1: int,
     gate=None,
 ):
-    """Column arrays for pulses [p0, p1): primary and extra photon slots."""
+    """One source's photon slots for pulses [p0, p1): (has, t, f, slow).
+
+    has, t and f have shape (2, n): row 0 is the primary photon, row 1 the
+    extra slow-branch photon, which a pulse only has when it has a primary.
+    slow flags the primary photons that took the slow branch.
+    """
     n = p1 - p0
-    u = _stream_words(seed, source_id, p0, n, _EMIT_WORDS)
+    u = _stream_words(seed, source_id, p0, n, _EMIT_WORDS).T
     delay = train.source_delay_ps if source_id == 2 else 0.0
     start = (np.arange(p0, p1, dtype=np.float64)) * train.period_ps + delay
-    has_a = u[:, 0] < emitter.emission_prob
+    has = np.empty((2, n), dtype=bool)
+    has[0] = u[0] < emitter.emission_prob
     if gate is not None:
-        has_a &= gate[p0:p1]
-    slow = u[:, 1] < emitter.slow_fraction
-    tau = np.where(slow, emitter.t1_slow_ps, emitter.t1_fast_ps)
-    t_a = start - np.log1p(-u[:, 2]) * tau
-    has_b = has_a & (u[:, 3] < emitter.double_prob)
-    t_b = start - np.log1p(-u[:, 4]) * emitter.t1_slow_ps
+        has[0] &= gate[p0:p1]
+    has[1] = has[0] & (u[3] < emitter.double_prob)
+    slow = u[1] < emitter.slow_fraction
+    t = np.empty((2, n))
+    t[0] = start - np.log1p(-u[2]) * np.where(slow, emitter.t1_slow_ps, emitter.t1_fast_ps)
+    t[1] = start - np.log1p(-u[4]) * emitter.t1_slow_ps
+    f = np.zeros((2, n))
     sd = emitter.spectral_diffusion_sigma_uev
     if sd > 0.0:
-        f_a = sd * _gauss_from_uniform(u[:, 5])
-        f_b = sd * _gauss_from_uniform(u[:, 7])
-    else:
-        f_a = np.zeros(n)
-        f_b = np.zeros(n)
-    return {
-        "has_a": has_a,
-        "t_a": t_a,
-        "slow_a": slow,
-        "f_a": f_a,
-        "has_b": has_b,
-        "t_b": t_b,
-        "f_b": f_b,
-    }
+        f[0] = sd * _gauss_from_uniform(u[5])
+        f[1] = sd * _gauss_from_uniform(u[7])
+    return has, t, f, slow
 
 
-def _order_slots(col):
-    """Reorder each pulse's two slots so slot a holds the earlier photon."""
-    both = col["has_a"] & col["has_b"]
-    swap = both & (col["t_b"] < col["t_a"])
-    only_b = col["has_b"] & ~col["has_a"]
-    move = swap | only_b
-    t_a = np.where(move, col["t_b"], col["t_a"])
-    t_b = np.where(swap, col["t_a"], col["t_b"])
-    f_a = np.where(move, col["f_b"], col["f_a"])
-    f_b = np.where(swap, col["f_a"], col["f_b"])
-    has_a = col["has_a"] | col["has_b"]
-    has_b = both
-    return has_a, t_a, f_a, has_b, t_b, f_b
+def _order_slots(has, times, freqs):
+    """Swap, in place, each source's two photons where the extra one is earlier.
+
+    has, times and freqs are (4, n) photon slots; afterwards slot 0 (2) holds
+    source 1's (2's) earlier photon.
+    """
+    src, col = np.nonzero(has[1::2] & (times[1::2] < times[::2]))
+    first, second = 2 * src, 2 * src + 1
+    times[first, col], times[second, col] = times[second, col], times[first, col]
+    freqs[first, col], freqs[second, col] = freqs[second, col], freqs[first, col]
 
 
-def _route_chunk(
-    p0: int,
-    col1,
-    col2,
-    circuit: CircuitSpec,
-    det: DetectorSpec,
-    kparams: InterferenceKernelParams,
-    seed: int,
-):
-    """Route one pulse chunk through the splitter; returns tags + counters."""
-    n = col1["has_a"].size
-    u = _stream_words(seed, _STREAM_CIRCUIT, p0, n, _CIRCUIT_WORDS)
-    h1a, t1a, f1a, h1b, t1b, f1b = _order_slots(col1)
-    h2a, t2a, f2a, h2b, t2b, f2b = _order_slots(col2)
+def _route_chunk(p0: int, src1, src2, circuit: CircuitSpec, det: DetectorSpec, kparams, seed: int):
+    """Route one pulse chunk through the splitter; returns tags + counters.
+
+    src1 and src2 are the sources' _emission_columns; they stack into the
+    four photon slots, 0/1 from source 1 and 2/3 from source 2. kparams are
+    the pair kernel's interfere.InterferenceKernelParams.
+    """
+    has, times, freqs = (np.concatenate((a, b)) for a, b in zip(src1[:3], src2[:3]))
+    _order_slots(has, times, freqs)
+    n = has.shape[1]
+    w = _stream_words(seed, _STREAM_CIRCUIT, p0, n, _CIRCUIT_WORDS).reshape(n, 5, 4)
     tin = circuit.arm_transmission
-    eff = det.efficiency
-    sv = [
-        h1a & (u[:, 0] < tin[0] * eff),
-        h1b & (u[:, 4] < tin[0] * eff),
-        h2a & (u[:, 8] < tin[1] * eff),
-        h2b & (u[:, 12] < tin[1] * eff),
-    ]
-    emitted = int(h1a.sum() + h1b.sum() + h2a.sum() + h2b.sum())
-    n1 = sv[0].astype(np.int8) + sv[1]
-    n2 = sv[2].astype(np.int8) + sv[3]
-    paired = (n1 == 1) & (n2 == 1)
+    p_in = np.array([tin[0], tin[0], tin[1], tin[1]])[:, None] * det.efficiency
+    sv = has & (w[:, :4, 0].T < p_in)
+    # exactly one surviving photon from each source interferes
+    paired = (sv[0] ^ sv[1]) & (sv[2] ^ sv[3])
     r = circuit.reflectance
     t = circuit.transmittance
 
-    # Channels for the four slots; -1 = not detected/absent.
-    chan = [np.full(n, -1, dtype=np.int8) for _ in range(4)]
-    times = [t1a, t1b, t2a, t2b]
-    # Classical routing for every surviving photon not in an interfering pair.
-    for s in range(4):
-        free = sv[s] & ~paired
-        bar = u[:, 4 * s + 1] < r
-        if s < 2:
-            chan[s][free] = np.where(bar[free], 0, 1)
-        else:
-            chan[s][free] = np.where(bar[free], 1, 0)
+    # Output channel per slot; -1 = lost or absent. Every surviving photon
+    # not in an interfering pair routes classically: a bar (reflected)
+    # photon leaves on its own side, source 1 on channel 0, source 2 on 1.
+    chan = np.full((4, n), -1, dtype=np.int8)
+    rows, cols = np.nonzero(sv & ~paired)
+    chan[rows, cols] = (w[cols, rows, 1] < r) != (rows < 2)
 
-    pairs_interfered = int(paired.sum())
-    if pairs_interfered:
-        idx = np.flatnonzero(paired)
-        s1_slot = np.where(sv[0][idx], 0, 1)
-        s2_slot = np.where(sv[2][idx], 2, 3)
-        ta = np.where(s1_slot == 0, t1a[idx], t1b[idx])
-        fa = np.where(s1_slot == 0, f1a[idx], f1b[idx])
-        tb = np.where(s2_slot == 2, t2a[idx], t2b[idx])
-        fb = np.where(s2_slot == 2, f2a[idx], f2b[idx])
-        d = coherence_kernel(ta - tb, kparams, fa - fb)
+    idx = np.flatnonzero(paired)
+    if idx.size:
+        # the slot of each source's surviving photon
+        sa = sv[1, idx].astype(np.intp)
+        sb = sv[3, idx] + 2
+        d = coherence_kernel(
+            times[sa, idx] - times[sb, idx], kparams, freqs[sa, idx] - freqs[sb, idx]
+        )
         p_cross = r * r + t * t - 2.0 * r * t * d
-        u_pair = u[idx, 16]
-        u_assign = u[idx, 17]
-        cross = u_pair < p_cross
+        u_assign = w[idx, 4, 1]
+        cross = w[idx, 4, 0] < p_cross
         both_bar = u_assign < (r * r) / (r * r + t * t)
         ch_a = np.where(cross, np.where(both_bar, 0, 1), np.where(u_assign < 0.5, 0, 1))
-        ch_b = np.where(cross, 1 - ch_a, ch_a)
-        rows = idx
-        for s in (0, 1):
-            sel = s1_slot == s
-            chan[s][rows[sel]] = ch_a[sel].astype(np.int8)
-        for s in (2, 3):
-            sel = s2_slot == s
-            chan[s][rows[sel]] = ch_b[sel].astype(np.int8)
+        chan[sa, idx] = ch_a
+        chan[sb, idx] = np.where(cross, 1 - ch_a, ch_a)
 
-    out_times = []
-    out_chans = []
-    tout = (tin[2], tin[3])
+    rows, cols = np.nonzero(chan >= 0)
+    ch = chan[rows, cols]
+    keep = w[cols, rows, 2] < np.where(ch == 0, tin[2], tin[3])
+    rows, cols, ch = rows[keep], cols[keep], ch[keep]
+    tt = times[rows, cols]
     sigma = det.irf_sigma_ps
-    for s in range(4):
-        present = chan[s] >= 0
-        ch = chan[s][present]
-        keep = u[present, 4 * s + 2] < np.where(ch == 0, tout[0], tout[1])
-        ch = ch[keep]
-        tt = times[s][present][keep]
-        if sigma > 0.0:
-            tt = tt + sigma * _gauss_from_uniform(u[present, 4 * s + 3][keep])
-        out_times.append(tt)
-        out_chans.append(ch)
-    tt = np.concatenate(out_times)
-    cc = np.concatenate(out_chans).astype(np.uint8)
+    if sigma > 0.0:
+        tt = tt + sigma * _gauss_from_uniform(w[cols, rows, 3])
     ti = np.rint(tt).astype(np.int64)
     ok = ti >= 0
-    return ti[ok], cc[ok], emitted, int(ok.sum()), pairs_interfered
+    return ti[ok], ch[ok].astype(np.uint8), int(has.sum()), int(ok.sum()), int(idx.size)
 
 
 def _dark_counts(det: DetectorSpec, span_ps: float, seed: int):
@@ -448,19 +415,12 @@ def run_simulation(
         col2 = _emission_columns(emitter2, train, 2, seed, p0, p1, gate2)
         return _route_chunk(p0, col1, col2, circuit, det, kparams, seed)
 
-    starts = list(range(0, train.n_pulses, _CHUNK_PULSES))
-    workers = min(_worker_count(), max(len(starts), 1))
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, starts))
-    else:
-        results = [work(p0) for p0 in starts]
+    results = _map_chunks(work, range(0, train.n_pulses, _CHUNK_PULSES))
     dark_t, dark_c = _dark_counts(det, train.span_ps, seed)
     times = np.concatenate([res[0] for res in results] + [dark_t])
     chans = np.concatenate([res[1] for res in results] + [dark_c])
     order = np.lexsort((chans, times))
-    times = times[order]
-    chans = chans[order]
+    times, chans = times[order], chans[order]
     keep = _prune_dead_time(times, chans, det.dead_time_ps)
     stream = TimeTagStream(times_ps=times[keep], channels=chans[keep], seed=seed)
     return stream, SimulationCounters(

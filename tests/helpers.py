@@ -160,7 +160,13 @@ def emission_columns(emitter, train, source_id, seed):
     drawn for every pulse; only those with has_a/has_b set are photons.
     """
     gate = _blink_gate(emitter, train, seed, source_id)
-    return _emission_columns(emitter, train, source_id, seed, 0, train.n_pulses, gate)
+    has, t, f, slow = _emission_columns(
+        emitter, train, source_id, seed, 0, train.n_pulses, gate
+    )
+    return {
+        "has_a": has[0], "t_a": t[0], "slow_a": slow, "f_a": f[0],
+        "has_b": has[1], "t_b": t[1], "f_b": f[1],
+    }
 
 
 def blink_probabilities(emitter, train):

@@ -1,5 +1,7 @@
 """Coherence kernel, closed-form visibility, quadrature cross-check."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,11 +117,16 @@ class TestClosedFormVisibility:
             with pytest.raises(hs.ValidationError, match=arg):
                 route(e1, e2, **{arg: bad})
 
-    @pytest.mark.parametrize("delta", [1e150, -1e200, 1e300, 1.7e308])
+    @pytest.mark.parametrize("delta", [1e150, -1e200, 1e300, 1.7e308, 1e308, 5e307])
     def test_huge_detuning_leaves_nothing_to_interfere(self, delta):
-        # products of (g+A) factors overflow at these detunings; V must not
-        v = hs.visibility_closed_form(emitter_short_t2(), emitter_long_t2(), delta, 1.0)
-        assert np.isfinite(v) and abs(v) < 1e-100
+        # products of (g+A) factors overflow at these detunings, and with a
+        # delay d so does the phase delta_omega*d; V must not
+        e1, e2 = emitter_short_t2(), emitter_long_t2()
+        for d in (0.0, 1e4, -1e4, 2e3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                v = hs.visibility_closed_form(e1, e2, delta, 1.0, delay_ps=d)
+            assert np.isfinite(v) and abs(v) < 1e-100
 
     @pytest.mark.parametrize("t", [1e-300, 1e300, 1e308])
     def test_single_emitter_reduction_at_extreme_lifetimes(self, t):

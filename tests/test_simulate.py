@@ -386,22 +386,24 @@ class TestBlinkGateMatchesSequentialRule:
 
 
 class TestRunSimulationRegression:
-    """The tag stream of a scenario that uses every stage, pinned at the
-    seed: blinking, double emission, spectral diffusion, jitter, dark
-    counts and dead time over more than two chunks. Any change to these
-    numbers is a golden change and must be declared."""
+    """Tag streams pinned at the seed, at one and two worker threads. Any
+    change to these numbers is a golden change and must be declared."""
 
-    SHA256 = "a4603dc2ddaf76d17fa9d81f583e28e48354148e62226d65f6d3f5ff490a476a"
-    COUNTERS = {
-        "photons_emitted": 99884,
-        "photons_detected": 59791,
-        "dark_counts": 201,
-        "dead_time_pruned": 14367,
-        "pairs_interfered": 5424,
-        "tags_written": 45625,
-    }
+    @staticmethod
+    def _check(monkeypatch, args, seed, sha256, counters):
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HOMSIM_THREADS", workers)
+            stream, c = hs.run_simulation(*args, seed=seed)
+            digest = hashlib.sha256(
+                stream.times_ps.astype("<i8").tobytes()
+                + stream.channels.astype("u1").tobytes()
+            ).hexdigest()
+            assert c.as_dict() == counters
+            assert digest == sha256
 
     def test_tag_stream_digest_and_counters(self, monkeypatch):
+        # every stage: blinking, double emission, spectral diffusion,
+        # jitter, dark counts and dead time over more than two chunks
         e1 = emitter_short_t2(
             blink_on_rate_per_s=2.0e6, blink_off_rate_per_s=1.0e6,
             double_prob=0.05, spectral_diffusion_sigma_uev=2.0,
@@ -413,17 +415,41 @@ class TestRunSimulationRegression:
         det = hs.DetectorSpec(
             irf_fwhm_ps=80.0, dark_rate_cps=50000.0, efficiency=0.6, dead_time_ps=20000.0
         )
-        for workers in ("1", "2"):
-            monkeypatch.setenv("HOMSIM_THREADS", workers)
-            stream, c = hs.run_simulation(
-                e1, e2, reference_circuit(), det, _train(150000), seed=501
-            )
-            digest = hashlib.sha256(
-                stream.times_ps.astype("<i8").tobytes()
-                + stream.channels.astype("u1").tobytes()
-            ).hexdigest()
-            assert c.as_dict() == self.COUNTERS
-            assert digest == self.SHA256
+        self._check(
+            monkeypatch, (e1, e2, reference_circuit(), det, _train(150000)), 501,
+            "a4603dc2ddaf76d17fa9d81f583e28e48354148e62226d65f6d3f5ff490a476a",
+            {
+                "photons_emitted": 99884,
+                "photons_detected": 59791,
+                "dark_counts": 201,
+                "dead_time_pruned": 14367,
+                "pairs_interfered": 5424,
+                "tags_written": 45625,
+            },
+        )
+
+    def test_lossy_detuned_delayed_digest_and_counters(self, monkeypatch):
+        # the words the case above cannot see: four unequal arm
+        # transmissions make every output-loss draw count, and a contrast
+        # cap, a detuning and a source delay shape every pair kernel; no IRF
+        e1 = emitter_short_t2(double_prob=0.2)
+        e2 = emitter_long_t2(energy_uev=2.0, double_prob=0.15)
+        circuit = reference_circuit(
+            arm_transmission=(0.9, 0.75, 0.6, 0.8), classical_visibility=0.85
+        )
+        det = hs.DetectorSpec(irf_fwhm_ps=0.0, dark_rate_cps=50000.0, efficiency=0.7)
+        self._check(
+            monkeypatch, (e1, e2, circuit, det, _train(150000, delay=300.0)), 502,
+            "f997dbf3d2dedf791d3308d707c9c8ed8c25d3429c08b19512306f6d33b27816",
+            {
+                "photons_emitted": 176150,
+                "photons_detected": 71292,
+                "dark_counts": 199,
+                "dead_time_pruned": 0,
+                "pairs_interfered": 11707,
+                "tags_written": 71491,
+            },
+        )
 
 
 class TestTagClockBound:
