@@ -13,6 +13,7 @@ visibility; for identical emitters it reduces to T2 / (2 T1).
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,6 +110,14 @@ def _exprel(z):
     return np.expm1(z) / z if z != 0 else 1.0
 
 
+def _weighted(weight: float, denom: complex) -> complex:
+    """weight / denom, 0 where the weight underflowed to 0 or denom overflowed.
+
+    Complex division gives NaN there: 0/(inf + inf*j) and 1/(inf + inf*j).
+    """
+    return weight / denom if weight and cmath.isfinite(denom) else 0j
+
+
 def visibility_closed_form(
     e1: EmitterSpec,
     e2: EmitterSpec,
@@ -136,15 +145,16 @@ def visibility_closed_form(
     detuning and zero delay this reduces to T2 / (2 T1). Each c/(g_i+A) is
     evaluated as (T1_i/(T1_1+T1_2)) / (1 + A*T1_i), a ratio bounded by one
     over a denominator of modulus at least one, so no intermediate overflows
-    at extreme lifetimes or detunings.
+    at extreme lifetimes or detunings; a term whose ratio underflows to 0
+    or whose denominator overflows is 0.
     """
     _check_visibility_inputs(pol_overlap, delta_uev, delay_ps)
     t1a, t1b = e1.t1_fast_ps, e2.t1_fast_ps
     if delay_ps < 0.0:
         t1a, t1b = t1b, t1a
     a = (e1.pure_dephasing_rate + e2.pure_dephasing_rate) + 1j * detuning_to_angular(delta_uev)
-    term1 = 1.0 / (1.0 + t1b / t1a) / (1.0 + a * t1a)
-    term2 = 1.0 / (1.0 + t1a / t1b) / (1.0 + a * t1b)
+    term1 = _weighted(1.0 / (1.0 + t1b / t1a), 1.0 + a * t1a)
+    term2 = _weighted(1.0 / (1.0 + t1a / t1b), 1.0 + a * t1b)
     if delay_ps == 0.0:
         val = term1 + term2
     else:
@@ -158,8 +168,10 @@ def visibility_closed_form(
         else:
             # A*d overflows: the e^(-Ad) terms vanish or have no computable
             # phase. Their coefficients sum to -g1*g2/((g2+A)(A-g1)), of modulus
-            # below d^2/(3e616*T1_1*T1_2), so they are dropped.
-            val = np.exp(-g1 * d) * (term1 + 1.0 / ((a - g1) * (t1a + t1b)))
+            # below d^2/(3e616*T1_1*T1_2), so they are dropped. A = g1 only
+            # where g1*d overflows too, and then e^(-g1 d) = 0.
+            decay = math.exp(-g1 * d)
+            val = decay * (term1 + _weighted(1.0, (a - g1) * (t1a + t1b))) if decay else 0j
     return float(pol_overlap * val.real)
 
 

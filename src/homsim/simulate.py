@@ -11,18 +11,23 @@ interferes through interfere.coherence_kernel; every other photon routes
 classically. The chunks' tags are merged with the dark counts, sorted and
 pruned for dead time.
 
-Randomness comes from counter-based generators with a fixed number of
-uniform words per pulse, so any pulse range can be generated independently:
-results are identical for every chunking and worker count. Streams are
-keyed (seed, stream_id):
+Randomness is keyed per block of _CHUNK_PULSES pulses: each (seed, stream,
+block) seeds its own SFC64 generator, whose words are drawn in a fixed order
+and only for what exists. A chunk is one block, so the output is the same for
+every worker count, and _CHUNK_PULSES is part of the output contract. Per
+block, in draw order (each kind of word is drawn for all its items before the
+next kind; a Gaussian takes two words, see _gauss):
 
-    1, 2  emission of source 1, 2; 8 words per pulse: 0 emit, 1 slow
-          branch, 2 primary decay, 3 double emission, 4 extra-photon decay,
-          5 primary frequency offset, 6 blink, 7 extra frequency offset
-    3     circuit; 20 words per pulse: 4s survival to the coupler, 4s+1
-          classical route, 4s+2 output loss, 4s+3 jitter for slot s = 0..3,
-          then 16 pair outcome, 17 pair assignment, 18-19 spare
-    4, 5  dark counts of channel 0, 1
+    1, 2  source 1, 2: an emit word per pulse; a slow-branch word, then a
+          decay word, per primary photon; if double_prob > 0, a double-
+          emission word per primary and a decay word per extra photon; if
+          spectral diffusion > 0, a Gaussian per primary, then per extra
+    3     circuit: a survival word per photon (slot-major), a route word per
+          classical photon (slot-major), an outcome, then an assignment word
+          per interfering pair, an output-loss word per photon reaching a
+          detector, and if irf_sigma_ps > 0 a Gaussian per kept photon
+    4, 5  dark counts of channel 0, 1 (block 0)
+    6, 7  blinking of source 1, 2: one word per pulse
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .interfere import coherence_kernel, kernel_params
 from .model import (
@@ -46,11 +51,9 @@ from .model import (
     detuning_to_angular,
 )
 
-_EMIT_WORDS = 8
-_CIRCUIT_WORDS = 20
 _STREAM_CIRCUIT = 3
-_STREAM_DARK0 = 4
-_STREAM_DARK1 = 5
+_STREAM_DARK = 4  # + channel
+_STREAM_BLINK = 5  # + source id
 _CHUNK_PULSES = 1 << 16
 
 
@@ -120,31 +123,23 @@ def _map_chunks(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _philox(seed: int, stream_id: int) -> Philox:
-    # an explicit uint64 key: numpy turns a list holding an int >= 2^63
-    # into float64, which merges neighbouring seeds
-    return Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+def _block_rng(seed: int, stream: int, block: int) -> Generator:
+    # spawn_key pads the seed to four 32-bit words, so every key is its own
+    # state; SeedSequence((seed, stream, block)) gives seed s + k*2^32's
+    # stream b, block 0 the state of seed s's stream k, block b
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, block))))
 
 
-def _stream_words(seed: int, stream_id: int, p0: int, n: int, width: int) -> np.ndarray:
-    """Uniform words for pulses [p0, p0+n), shape (n, width).
+def _gauss(u: np.ndarray) -> np.ndarray:
+    """Box-Muller normals from words u of shape (2, k), each in [0, 1).
 
-    width must be a multiple of 4 so pulse boundaries align with the
-    4-word counter blocks of the generator.
+    |z| <= sqrt(-2 ln 2^-53) < 8.6, since 1 - u >= 2^-53. The angle is
+    taken in [-pi, pi), where numpy's cos is faster; that flips the sign.
     """
-    bitgen = _philox(seed, stream_id)
-    if p0:
-        bitgen.advance(p0 * width // 4)
-    return Generator(bitgen).random((n, width))
+    return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(np.pi * (2.0 * u[1] - 1.0))
 
 
-def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtri
-
-    return ndtri(np.maximum(u, 2.0**-55))
-
-
-def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, stream_id: int):
+def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int):
     """Per-pulse on/off gate of the two-state telegraph, or None if static.
 
     Pulse 0 is on when u < pi_on; pulse i > 0 is on when u < p_on_on after
@@ -154,8 +149,8 @@ def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, stream_i
     whatever came before, u >= p_on_on is off whatever came before, and a
     u in between repeats the previous pulse's state. So every pulse takes
     the state of the last pulse at or before it whose u is in an outer
-    band, and pulse 0 is always decided. The words are drawn one chunk at
-    a time, and a chunk's first pulse takes the carried state when its u
+    band, and pulse 0 is always decided. The words are drawn one block at
+    a time, and a block's first pulse takes the carried state when its u
     is in the middle band.
     """
     k_on = emitter.blink_on_rate_per_s
@@ -171,7 +166,7 @@ def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, stream_i
     gate = np.empty(n, dtype=bool)
     for p0 in range(0, n, _CHUNK_PULSES):
         p1 = min(p0 + _CHUNK_PULSES, n)
-        u = _stream_words(seed, stream_id, p0, p1 - p0, _EMIT_WORDS)[:, 6]
+        u = _block_rng(seed, _STREAM_BLINK + source_id, p0 // _CHUNK_PULSES).random(p1 - p0)
         on = u < p_off_on
         decided = on | (u >= p_on_on)
         if p0 == 0:
@@ -186,38 +181,41 @@ def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, stream_i
 
 
 def _emission_columns(
-    emitter: EmitterSpec,
-    train: PulseTrainSpec,
-    source_id: int,
-    seed: int,
-    p0: int,
-    p1: int,
-    gate=None,
+    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int, gate=None
 ):
-    """One source's photon slots for pulses [p0, p1): (has, t, f, slow).
+    """One source's photon slots for pulse block `block`: (has, t, f, slow).
 
     has, t and f have shape (2, n): row 0 is the primary photon, row 1 the
-    extra slow-branch photon, which a pulse only has when it has a primary.
-    slow flags the primary photons that took the slow branch.
+    extra slow-branch photon, which a pulse only has when it has a primary;
+    t and f are 0 where there is no photon. slow flags the primary photons
+    that took the slow branch.
     """
-    n = p1 - p0
-    u = _stream_words(seed, source_id, p0, n, _EMIT_WORDS).T
-    delay = train.source_delay_ps if source_id == 2 else 0.0
-    start = (np.arange(p0, p1, dtype=np.float64)) * train.period_ps + delay
-    has = np.empty((2, n), dtype=bool)
-    has[0] = u[0] < emitter.emission_prob
+    p0 = block * _CHUNK_PULSES
+    n = min(_CHUNK_PULSES, train.n_pulses - p0)
+    rng = _block_rng(seed, source_id, block)
+    has = np.zeros((2, n), dtype=bool)
+    has[0] = rng.random(n) < emitter.emission_prob
     if gate is not None:
-        has[0] &= gate[p0:p1]
-    has[1] = has[0] & (u[3] < emitter.double_prob)
-    slow = u[1] < emitter.slow_fraction
-    t = np.empty((2, n))
-    t[0] = start - np.log1p(-u[2]) * np.where(slow, emitter.t1_slow_ps, emitter.t1_fast_ps)
-    t[1] = start - np.log1p(-u[4]) * emitter.t1_slow_ps
+        has[0] &= gate[p0 : p0 + n]
+    idx = np.flatnonzero(has[0])
+    slow = np.zeros(n, dtype=bool)
+    slow[idx] = rng.random(idx.size) < emitter.slow_fraction
+    delay = train.source_delay_ps if source_id == 2 else 0.0
+    start = (p0 + idx) * train.period_ps + delay
+    t = np.zeros((2, n))
+    t1 = np.where(slow[idx], emitter.t1_slow_ps, emitter.t1_fast_ps)
+    t[0, idx] = start - np.log1p(-rng.random(idx.size)) * t1
+    extra = idx[:0]
+    if emitter.double_prob > 0.0:
+        double = rng.random(idx.size) < emitter.double_prob
+        extra = idx[double]
+        has[1, extra] = True
+        t[1, extra] = start[double] - np.log1p(-rng.random(extra.size)) * emitter.t1_slow_ps
     f = np.zeros((2, n))
     sd = emitter.spectral_diffusion_sigma_uev
     if sd > 0.0:
-        f[0] = sd * _gauss_from_uniform(u[5])
-        f[1] = sd * _gauss_from_uniform(u[7])
+        f[0, idx] = sd * _gauss(rng.random((2, idx.size)))
+        f[1, extra] = sd * _gauss(rng.random((2, extra.size)))
     return has, t, f, slow
 
 
@@ -233,67 +231,74 @@ def _order_slots(has, times, freqs):
     freqs[first, col], freqs[second, col] = freqs[second, col], freqs[first, col]
 
 
-def _route_chunk(p0: int, src1, src2, circuit: CircuitSpec, det: DetectorSpec, kparams, seed: int):
-    """Route one pulse chunk through the splitter; returns tags + counters.
+def _route_chunk(
+    block: int, src1, src2, circuit: CircuitSpec, det: DetectorSpec, kparams, seed: int
+):
+    """Route one pulse block through the splitter; returns tag keys + counters.
 
     src1 and src2 are the sources' _emission_columns; they stack into the
     four photon slots, 0/1 from source 1 and 2/3 from source 2. kparams are
-    the pair kernel's interfere.InterferenceKernelParams.
+    the pair kernel's interfere.InterferenceKernelParams. A tag's key is
+    2 * time + channel.
     """
     has, times, freqs = (np.concatenate((a, b)) for a, b in zip(src1[:3], src2[:3]))
     _order_slots(has, times, freqs)
+    # a photon's flat index is slot * n + pulse: ascending indices are
+    # slot-major, and those below 2n are source 1's
     n = has.shape[1]
-    w = _stream_words(seed, _STREAM_CIRCUIT, p0, n, _CIRCUIT_WORDS).reshape(n, 5, 4)
+    rng = _block_rng(seed, _STREAM_CIRCUIT, block)
     tin = circuit.arm_transmission
-    p_in = np.array([tin[0], tin[0], tin[1], tin[1]])[:, None] * det.efficiency
-    sv = has & (w[:, :4, 0].T < p_in)
+    live = np.flatnonzero(has)
+    sv = np.zeros(has.size, dtype=bool)
+    sv[live] = rng.random(live.size) < np.where(live < 2 * n, tin[0], tin[1]) * det.efficiency
+    sv = sv.reshape(4, n)
     # exactly one surviving photon from each source interferes
     paired = (sv[0] ^ sv[1]) & (sv[2] ^ sv[3])
     r = circuit.reflectance
     t = circuit.transmittance
 
-    # Output channel per slot; -1 = lost or absent. Every surviving photon
+    # Output channel per photon; -1 = lost or absent. Every surviving photon
     # not in an interfering pair routes classically: a bar (reflected)
     # photon leaves on its own side, source 1 on channel 0, source 2 on 1.
-    chan = np.full((4, n), -1, dtype=np.int8)
-    rows, cols = np.nonzero(sv & ~paired)
-    chan[rows, cols] = (w[cols, rows, 1] < r) != (rows < 2)
+    chan = np.full(has.size, -1, dtype=np.int8)
+    lone = np.flatnonzero(sv & ~paired)
+    chan[lone] = (rng.random(lone.size) < r) != (lone < 2 * n)
 
     idx = np.flatnonzero(paired)
     if idx.size:
-        # the slot of each source's surviving photon
-        sa = sv[1, idx].astype(np.intp)
-        sb = sv[3, idx] + 2
+        # the flat index of each source's surviving photon
+        sa = sv[1, idx] * n + idx
+        sb = (sv[3, idx] + 2) * n + idx
         d = coherence_kernel(
-            times[sa, idx] - times[sb, idx], kparams, freqs[sa, idx] - freqs[sb, idx]
+            times.take(sa) - times.take(sb), kparams, freqs.take(sa) - freqs.take(sb)
         )
         p_cross = r * r + t * t - 2.0 * r * t * d
-        u_assign = w[idx, 4, 1]
-        cross = w[idx, 4, 0] < p_cross
+        u_cross, u_assign = rng.random((2, idx.size))
+        cross = u_cross < p_cross
         both_bar = u_assign < (r * r) / (r * r + t * t)
         ch_a = np.where(cross, np.where(both_bar, 0, 1), np.where(u_assign < 0.5, 0, 1))
-        chan[sa, idx] = ch_a
-        chan[sb, idx] = np.where(cross, 1 - ch_a, ch_a)
+        chan[sa] = ch_a
+        chan[sb] = np.where(cross, 1 - ch_a, ch_a)
 
-    rows, cols = np.nonzero(chan >= 0)
-    ch = chan[rows, cols]
-    keep = w[cols, rows, 2] < np.where(ch == 0, tin[2], tin[3])
-    rows, cols, ch = rows[keep], cols[keep], ch[keep]
-    tt = times[rows, cols]
+    out = np.flatnonzero(chan >= 0)
+    ch = chan[out]
+    keep = rng.random(out.size) < np.where(ch == 0, tin[2], tin[3])
+    ch = ch[keep]
+    tt = times.take(out[keep])
     sigma = det.irf_sigma_ps
     if sigma > 0.0:
-        tt = tt + sigma * _gauss_from_uniform(w[cols, rows, 3])
+        tt = tt + sigma * _gauss(rng.random((2, tt.size)))
     ti = np.rint(tt).astype(np.int64)
     ok = ti >= 0
-    return ti[ok], ch[ok].astype(np.uint8), int(has.sum()), int(ok.sum()), int(idx.size)
+    return 2 * ti[ok] + ch[ok], live.size, int(ok.sum()), idx.size
 
 
-def _dark_counts(det: DetectorSpec, span_ps: float, seed: int):
-    times = []
-    chans = []
-    for ch, stream in ((0, _STREAM_DARK0), (1, _STREAM_DARK1)):
-        rng = Generator(_philox(seed, stream))
-        mu = det.dark_rate_cps * span_ps * 1e-12
+def _dark_counts(det: DetectorSpec, span_ps: float, seed: int) -> np.ndarray:
+    """Tag keys (2 * time + channel) of both channels' dark counts."""
+    mu = det.dark_rate_cps * span_ps * 1e-12
+    keys = [np.empty(0, dtype=np.int64)]
+    for ch in (0, 1):
+        rng = _block_rng(seed, _STREAM_DARK + ch, 0)
         try:
             n = int(rng.poisson(mu)) if mu > 0 else 0
         except ValueError as exc:
@@ -301,13 +306,8 @@ def _dark_counts(det: DetectorSpec, span_ps: float, seed: int):
                 "dark_rate_cps %g over the %g ps span gives %g expected dark "
                 "counts per channel, too many to draw" % (det.dark_rate_cps, span_ps, mu)
             ) from exc
-        if n:
-            t = np.rint(rng.uniform(0.0, span_ps, n)).astype(np.int64)
-            times.append(t)
-            chans.append(np.full(n, ch, dtype=np.uint8))
-    if not times:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    return np.concatenate(times), np.concatenate(chans)
+        keys.append(2 * np.rint(rng.uniform(0.0, span_ps, n)).astype(np.int64) + ch)
+    return np.concatenate(keys)
 
 
 def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float):
@@ -358,8 +358,8 @@ def _require_representable(
     """Reject specs whose draws overflow the tag clock or the pair kernel.
 
     A decay draw is below -ln(2^-53) < 37 lifetimes and a Gaussian draw
-    below 9 sigma. The latest tag must stay under 2^62 ps, so that tags
-    and tag + dead time fit the int64 picosecond clock. For a pair,
+    (_gauss) below 9 sigma. The latest tag must stay under 2^62 ps, so that
+    tags, tag + dead time and the merge's 2 * tag + 1 fit int64. For a pair,
     |tau| < delay + 37 lifetimes, and the kernel's phase delta*tau and
     exponent (gs1 + gs2)*|tau| must be finite. The blink gate needs the
     total switching rate k_on + k_off to be finite.
@@ -399,8 +399,8 @@ def run_simulation(
 ) -> tuple[TimeTagStream, SimulationCounters]:
     """Full two-source experiment: emission, interference, detection.
 
-    Deterministic for fixed (specs, seed): chunk boundaries and worker
-    count never change the output stream.
+    Deterministic for fixed (specs, seed): the worker count never changes
+    the output stream.
     """
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must fit in 64 bits")
@@ -409,26 +409,25 @@ def run_simulation(
     gate1 = _blink_gate(emitter1, train, seed, 1)
     gate2 = _blink_gate(emitter2, train, seed, 2)
 
-    def work(p0: int):
-        p1 = min(p0 + _CHUNK_PULSES, train.n_pulses)
-        col1 = _emission_columns(emitter1, train, 1, seed, p0, p1, gate1)
-        col2 = _emission_columns(emitter2, train, 2, seed, p0, p1, gate2)
-        return _route_chunk(p0, col1, col2, circuit, det, kparams, seed)
+    def work(block: int):
+        col1 = _emission_columns(emitter1, train, 1, seed, block, gate1)
+        col2 = _emission_columns(emitter2, train, 2, seed, block, gate2)
+        return _route_chunk(block, col1, col2, circuit, det, kparams, seed)
 
-    results = _map_chunks(work, range(0, train.n_pulses, _CHUNK_PULSES))
-    dark_t, dark_c = _dark_counts(det, train.span_ps, seed)
-    times = np.concatenate([res[0] for res in results] + [dark_t])
-    chans = np.concatenate([res[1] for res in results] + [dark_c])
-    order = np.lexsort((chans, times))
-    times, chans = times[order], chans[order]
+    results = _map_chunks(work, range(-(-train.n_pulses // _CHUNK_PULSES)))
+    dark = _dark_counts(det, train.span_ps, seed)
+    # times are below 2^62, so the keys fit int64 and one sort orders the
+    # tags by time, then channel
+    keys = np.sort(np.concatenate([res[0] for res in results] + [dark]))
+    times, chans = keys >> 1, (keys & 1).astype(np.uint8)
     keep = _prune_dead_time(times, chans, det.dead_time_ps)
     stream = TimeTagStream(times_ps=times[keep], channels=chans[keep], seed=seed)
     return stream, SimulationCounters(
-        photons_emitted=sum(res[2] for res in results),
-        photons_detected=sum(res[3] for res in results),
-        dark_counts=int(dark_t.size),
+        photons_emitted=sum(res[1] for res in results),
+        photons_detected=sum(res[2] for res in results),
+        dark_counts=int(dark.size),
         dead_time_pruned=int(keep.size - keep.sum()),
-        pairs_interfered=sum(res[4] for res in results),
+        pairs_interfered=sum(res[3] for res in results),
         tags_written=stream.n_records,
     )
 

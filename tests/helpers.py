@@ -12,10 +12,10 @@ import numpy as np
 import homsim as hs
 from homsim.simulate import (
     _CHUNK_PULSES,
-    _EMIT_WORDS,
+    _STREAM_BLINK,
     _blink_gate,
+    _block_rng,
     _emission_columns,
-    _stream_words,
 )
 
 
@@ -157,12 +157,15 @@ def emission_columns(emitter, train, source_id, seed):
 
     Keys: has_a/t_a/slow_a/f_a for the primary photon of each pulse and
     has_b/t_b/f_b for the extra slow-branch photon. Times and offsets are
-    drawn for every pulse; only those with has_a/has_b set are photons.
+    drawn only for photons that exist, those with has_a/has_b set; the
+    other entries are 0.
     """
     gate = _blink_gate(emitter, train, seed, source_id)
-    has, t, f, slow = _emission_columns(
-        emitter, train, source_id, seed, 0, train.n_pulses, gate
-    )
+    blocks = [
+        _emission_columns(emitter, train, source_id, seed, b, gate)
+        for b in range(-(-train.n_pulses // _CHUNK_PULSES))
+    ]
+    has, t, f, slow = (np.concatenate(cols, axis=-1) for cols in zip(*blocks))
     return {
         "has_a": has[0], "t_a": t[0], "slow_a": slow, "f_a": f[0],
         "has_b": has[1], "t_b": t[1], "f_b": f[1],
@@ -179,10 +182,11 @@ def blink_probabilities(emitter, train):
     return pi_on, pi_on + (1.0 - pi_on) * decay, pi_on * (1.0 - decay)
 
 
-def blink_gate_reference(emitter, train, seed, stream_id):
+def blink_gate_reference(emitter, train, seed, source_id):
     """Sequential telegraph gate: one pulse at a time, carrying the state.
 
-    Reference for simulate._blink_gate; draws the same words.
+    Reference for simulate._blink_gate; draws the same words, one per pulse
+    from simulate's blink stream of the source, block by block.
     """
     if emitter.blink_on_rate_per_s == 0.0 and emitter.blink_off_rate_per_s == 0.0:
         return None
@@ -192,7 +196,7 @@ def blink_gate_reference(emitter, train, seed, stream_id):
     state = False
     for p0 in range(0, n, _CHUNK_PULSES):
         p1 = min(p0 + _CHUNK_PULSES, n)
-        u = _stream_words(seed, stream_id, p0, p1 - p0, _EMIT_WORDS)[:, 6]
+        u = _block_rng(seed, _STREAM_BLINK + source_id, p0 // _CHUNK_PULSES).random(p1 - p0)
         for i, uv in enumerate(u, start=p0):
             if i == 0:
                 state = uv < pi_on

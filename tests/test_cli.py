@@ -89,6 +89,15 @@ class TestTheory:
         assert np.isfinite(value) and 0.0 <= value <= 1.0
         assert 0.0 < bound <= 1.0
 
+    def test_lifetimes_1e600_apart_at_huge_detuning_print_a_finite_visibility(self, run):
+        code, out, _ = run(
+            "theory", "--t1-1", "1e-300", "--t2-1", "1e-300", "--t1-2", "1e300",
+            "--t2-2", "1e300", "--detuning-uev", "1e150",
+        )
+        assert code == 0
+        value = float(out.split("V_closed_form =")[1].split()[0])
+        assert np.isfinite(value) and abs(value) <= 1.0
+
     def test_lifetime_whose_rate_overflows_exits_2(self, run):
         code, _, err = run(
             "theory", "--t1-1", "1e-320", "--t2-1", "1e-320", "--t1-2", 600, "--t2-2", 440

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 
 import homsim as hs
+from helpers import scenario_dict
 
 # Run in a fresh interpreter; after each step, record which scipy modules
-# are loaded. argv[1] is a small PTG1 file, argv[2] a scratch directory.
+# are loaded. argv[1] is a small PTG1 file, argv[2] a scratch directory and
+# argv[3] a scenario with timing jitter and spectral diffusion.
 _PROBE = """
 import json, sys
 
@@ -30,6 +32,10 @@ code = homsim.cli.main(
      "--out", sys.argv[2] + "/trace.csv"]
 )
 seen["timetrace"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
+code = homsim.cli.main(
+    ["simulate", "--config", sys.argv[3], "--out", sys.argv[2] + "/sim.ptg1"]
+)
+seen["simulate"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
 print(json.dumps(seen))
 """
 
@@ -38,8 +44,16 @@ def test_homsim_and_light_commands_load_no_scipy(tmp_path):
     times = np.cumsum(np.full(2000, 6581, dtype=np.int64))
     tags = tmp_path / "small.ptg1"
     hs.write_ptg1(tags, hs.TimeTagStream(times, (np.arange(times.size) % 2).astype(np.uint8)))
+    # the Gaussian draws of the IRF jitter and the spectral diffusion
+    cfg = scenario_dict()
+    for name in ("emitter1", "emitter2"):
+        cfg[name] = dict(cfg[name], spectral_diffusion_sigma_uev=2.0)
+    cfg["train"] = dict(cfg["train"], n_pulses=5000)
+    assert cfg["detector"]["irf_fwhm_ps"] > 0.0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(cfg))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tags), str(tmp_path)],
+        [sys.executable, "-c", _PROBE, str(tags), str(tmp_path), str(scenario)],
         capture_output=True,
         text=True,
     )
@@ -50,4 +64,5 @@ def test_homsim_and_light_commands_load_no_scipy(tmp_path):
         "import homsim.cli": [],
         "theory": [],
         "timetrace": [],
+        "simulate": [],
     }

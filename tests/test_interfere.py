@@ -136,6 +136,22 @@ class TestClosedFormVisibility:
         for v in (hs.visibility_closed_form(e, other), hs.visibility_closed_form(other, e)):
             assert np.isfinite(v) and 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("t2_over_t1", [1.0, 2.0])
+    @pytest.mark.parametrize("delta", [1e150, -1e150, 1.7e308, 0.0])
+    def test_lifetimes_1e600_apart_give_a_finite_visibility(self, delta, t2_over_t1):
+        # one ratio T1_i/(T1_1+T1_2) underflows to 0 while its denominator
+        # 1 + A*T1_i overflows to inf + inf*j, and 0/(inf + inf*j) is NaN
+        def emitter(t1):
+            return make_emitter(t1_fast_ps=t1, t1_slow_ps=t1, t2_ps=t2_over_t1 * t1)
+
+        fast, slow = emitter(1e-300), emitter(1e300)
+        for e1, e2 in ((fast, slow), (slow, fast), (fast, fast)):
+            for d in (0.0, 1e4, -1e4, 1e300):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    v = hs.visibility_closed_form(e1, e2, delta, 1.0, delay_ps=d)
+                assert np.isfinite(v) and abs(v) <= 1.0
+
     def test_quadrature_agrees_with_closed_form_at_reference_point(self):
         e1, e2 = emitter_short_t2(), emitter_long_t2()
         vq = hs.visibility_numeric(e1, e2, 0.0, 1.0)
