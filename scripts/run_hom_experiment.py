@@ -106,7 +106,7 @@ def main(argv=None) -> int:
             cfg.emitter1,
             cfg.emitter2,
             delta_uev=cfg.emitter1.energy_uev - cfg.emitter2.energy_uev,
-            pol_overlap=cfg.circuit.pol_overlap * cfg.circuit.contrast_cap,
+            pol_overlap=cfg.circuit.overlap,
             delay_ps=delay_ps,
         )
 

@@ -167,14 +167,17 @@ def _cmd_analyze_hom(args) -> None:
         delay_ps=args.comb_offset_ps,
     )
     headline = corrected if ana.background_correction else raw
-    raw11 = correlate.integrate_peaks(
-        hist, period, ana.delta_t_ps, n_side=10, delay_ps=args.comb_offset_ps
+    # the eleven-peak table, or the configured comb where ten side peaks do not fit
+    reach = 5 * period + abs(args.comb_offset_ps) + ana.delta_t_ps / 2.0
+    n_table = 10 if reach <= hist.window_ps else ana.n_side
+    table_raw = correlate.integrate_peaks(
+        hist, period, ana.delta_t_ps, n_side=n_table, delay_ps=args.comb_offset_ps
     )
-    corr11 = correlate.integrate_peaks(
-        hist, period, ana.delta_t_ps, n_side=10, floor=floor, corrected=True,
+    table_corr = correlate.integrate_peaks(
+        hist, period, ana.delta_t_ps, n_side=n_table, floor=floor, corrected=True,
         delay_ps=args.comb_offset_ps,
     )
-    eleven = corr11 if ana.background_correction else raw11
+    table = table_corr if ana.background_correction else table_raw
     narrow = correlate.integrate_peaks(
         hist,
         period,
@@ -199,7 +202,7 @@ def _cmd_analyze_hom(args) -> None:
         fh.write("# period_ps=%g\n# delta_t_ps=%g\n" % (period, ana.delta_t_ps))
         fh.write("# k,area_raw,area_corrected,poisson_error\n")
         for k, a_r, a_c, err in zip(
-            raw11.k_values, raw11.areas, corr11.areas, raw11.area_errors
+            table_raw.k_values, table_raw.areas, table_corr.areas, table_raw.area_errors
         ):
             fh.write("%d,%g,%g,%g\n" % (k, a_r, a_c, err))
 
@@ -216,9 +219,9 @@ def _cmd_analyze_hom(args) -> None:
         "postselected_g2_err": narrow.g2_zero_err,
         "postselected_visibility": v_post,
         "eleven_peak_areas": {
-            "k": eleven.k_values,
-            "area": eleven.areas,
-            "error": eleven.area_errors,
+            "k": table.k_values,
+            "area": table.areas,
+            "error": table.area_errors,
         },
         "analysis": {
             "bin_width_ps": ana.bin_width_ps,

@@ -14,15 +14,7 @@ import numpy as np
 
 from .fitting import nlls_solve
 from .model import ConfigurationError, EstimationError, ValidationError
-from .simulate import _map_chunks
-
-
-def _as_times_channels(tags):
-    """Accept a tag-stream object (times_ps/channels attributes) or a pair."""
-    if hasattr(tags, "times_ps") and hasattr(tags, "channels"):
-        return np.asarray(tags.times_ps), np.asarray(tags.channels)
-    times, channels = tags
-    return np.asarray(times), np.asarray(channels)
+from .simulate import TimeTagStream, _map_chunks
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,6 @@ class CorrelationHistogram:
     window_ps: float
     counts: np.ndarray
     total_pairs: int
-    channel_pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self) -> None:
         n = self.counts.size
@@ -79,7 +70,9 @@ def _histogram_chunk(t0_chunk, times1, window, bin_width, n_bins):
     return np.bincount(idx, minlength=n_bins).astype(np.int64)
 
 
-def cross_correlate(tags, bin_width_ps: float, window_ps: float) -> CorrelationHistogram:
+def cross_correlate(
+    stream: TimeTagStream, bin_width_ps: float, window_ps: float
+) -> CorrelationHistogram:
     """Histogram all channel-0/channel-1 tag pairs with |t1 - t0| <= window.
 
     Pair delays tau = t(ch1) - t(ch0) in [-window, window) are binned on the
@@ -99,12 +92,10 @@ def cross_correlate(tags, bin_width_ps: float, window_ps: float) -> CorrelationH
         raise ConfigurationError(
             "window_ps must be a positive even multiple of bin_width_ps"
         )
-    times, channels = _as_times_channels(tags)
-    times = np.asarray(times, dtype=np.float64)
-    if times.size and np.any(np.diff(times) < 0):
-        raise ValidationError("time tags must be sorted ascending")
-    t0 = times[channels == 0]
-    t1 = times[channels == 1]
+    # the stream guarantees sorted times and channels 0/1
+    times = stream.times_ps.astype(np.float64)
+    t0 = times[stream.channels == 0]
+    t1 = times[stream.channels == 1]
     if t0.size == 0 or t1.size == 0:
         return CorrelationHistogram(
             bin_width_ps=float(bin_width_ps),
@@ -147,17 +138,16 @@ def estimate_background(
     period_ps: float,
     delta_t_ps: float = 3000.0,
     delay_ps: float = 0.0,
-    guard_bins: int = 1,
 ) -> float:
     """The flat floor under the peak comb, in counts/bin.
 
     The floor holds the dark counts and any other pairs with no structure
     on the scale of a dead zone.
 
-    Dead-zone bins are those farther than delta_t/2 plus guard_bins bin
-    widths from every peak center c_k = k*period + delay. They still hold
-    the exponential tails of the neighbouring peaks, so the dead zone
-    between c_k and c_(k+1) is fitted as
+    Dead-zone bins are those farther than delta_t/2 plus one bin width from
+    every peak center c_k = k*period + delay. They still hold the
+    exponential tails of the neighbouring peaks, so the dead zone between
+    c_k and c_(k+1) is fitted as
 
         floor + a_k exp(-(tau - c_k)/T_R) + b_k exp(-(c_(k+1) - tau)/T_L)
 
@@ -181,7 +171,7 @@ def estimate_background(
     right = np.searchsorted(peak_pos, centers)
     past = centers - peak_pos[right - 1]
     before = peak_pos[right] - centers
-    edge = delta_t_ps / 2.0 + guard_bins * hist.bin_width_ps
+    edge = delta_t_ps / 2.0 + hist.bin_width_ps
     dead = np.minimum(past, before) > edge
     if not np.any(dead):
         raise ConfigurationError(
@@ -367,13 +357,15 @@ class Timetrace:
         return self.bin_width_ps * (np.arange(self.n_bins) + 0.5)
 
 
-def timetrace(tags, train, bin_width_ps: float = 20.0, channel: int | None = None) -> Timetrace:
+def timetrace(
+    stream: TimeTagStream, train, bin_width_ps: float = 20.0, channel: int | None = None
+) -> Timetrace:
     """Fold tag times modulo the pulse period into a decay histogram."""
     if bin_width_ps <= 0:
         raise ValidationError("bin_width_ps must be positive")
-    times, channels = _as_times_channels(tags)
+    times = stream.times_ps
     if channel is not None:
-        times = times[channels == channel]
+        times = times[stream.channels == channel]
     period = train.period_ps
     n_bins = int(np.ceil(period / bin_width_ps))
     folded = np.mod(np.asarray(times, dtype=np.float64), period)
@@ -387,23 +379,17 @@ def timetrace(tags, train, bin_width_ps: float = 20.0, channel: int | None = Non
     )
 
 
-def estimate_delay(trace_a, trace_b) -> float:
+def estimate_delay(trace_a: Timetrace, trace_b: Timetrace) -> float:
     """Delay of trace B relative to trace A via circular cross-correlation.
 
     The integer-bin peak of the circular correlation is refined by
     parabolic interpolation; the result is mapped to (-period/2, period/2].
     Structureless (flat) traces raise an estimation error.
     """
-    if hasattr(trace_a, "counts"):
-        bw = trace_a.bin_width_ps
-        if hasattr(trace_b, "bin_width_ps") and trace_b.bin_width_ps != bw:
-            raise ValidationError("traces must share the same bin width")
-        a = np.asarray(trace_a.counts, dtype=float)
-        b = np.asarray(trace_b.counts, dtype=float)
-    else:
-        bw = 1.0
-        a = np.asarray(trace_a, dtype=float)
-        b = np.asarray(trace_b, dtype=float)
+    if trace_b.bin_width_ps != trace_a.bin_width_ps:
+        raise ValidationError("traces must share the same bin width")
+    a = np.asarray(trace_a.counts, dtype=float)
+    b = np.asarray(trace_b.counts, dtype=float)
     if a.size != b.size:
         raise ValidationError("traces must cover the same period with equal bins")
     if a.size < 4:
@@ -421,4 +407,4 @@ def estimate_delay(trace_a, trace_b) -> float:
     shift = k + frac
     if shift > n / 2.0:
         shift -= n
-    return float(shift * bw)
+    return float(shift * trace_a.bin_width_ps)

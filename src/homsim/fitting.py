@@ -2,9 +2,8 @@
 
 The solver wraps scipy.optimize.least_squares (trust-region reflective, box
 bounds) and takes the covariance from the SVD of its Jacobian. Decay and dip
-models convolve exponentials with a Gaussian timing response; the
-convolution is available both as a discrete grid operation and in exact
-closed form inside the models.
+models convolve exponentials with a Gaussian timing response in exact closed
+form (exp_conv_gauss).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import FWHM_TO_SIGMA, ConfigurationError, ValidationError
+from .model import FWHM_TO_SIGMA, ValidationError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -146,33 +145,6 @@ def nlls_solve(
         n_iter=int(sol.njev),
         cost=cost,
     )
-
-
-def convolve_gaussian(y: np.ndarray, step_ps: float, sigma_ps: float) -> np.ndarray:
-    """Convolve uniformly sampled data with a unit-area Gaussian.
-
-    The kernel is truncated at +-5 sigma and renormalized so the total sum
-    (hence the integral) is preserved. Requires step <= sigma/4 for a
-    faithful kernel; a sigma whose whole +-5 sigma support falls inside one
-    grid cell (sigma <= step/10, including 0) acts as a discrete delta and
-    returns the input unchanged.
-    """
-    y = np.asarray(y, dtype=float)
-    if step_ps <= 0:
-        raise ConfigurationError("grid step must be strictly positive")
-    if sigma_ps < 0:
-        raise ConfigurationError("sigma must be >= 0")
-    if sigma_ps <= step_ps / 10.0:
-        return y.copy()
-    if step_ps > sigma_ps / 4.0:
-        raise ConfigurationError(
-            "grid step %.4g ps too coarse for sigma %.4g ps (need <= sigma/4)"
-            % (step_ps, sigma_ps)
-        )
-    half = int(np.ceil(5.0 * sigma_ps / step_ps))
-    k = np.exp(-0.5 * ((np.arange(-half, half + 1) * step_ps) / sigma_ps) ** 2)
-    k /= k.sum()
-    return np.convolve(y, k, mode="same")
 
 
 def exp_conv_gauss(u, tau: float, sigma: float):

@@ -3,8 +3,10 @@
 PTG1 layout (all little-endian): magic "PTG1" (4 bytes), version u16 = 1,
 resolution_ps u64, record_count u64 — a 22-byte header — followed by
 record_count fixed 16-byte records: time u64, channel u8, 7 reserved zero
-bytes. Fixed-stride records allow chunked/memory-mapped reads; the reader
-reports malformed input with exact byte offsets.
+bytes. Tag times are integer picoseconds: the writer sets resolution_ps to
+1, and the reader rejects any other value rather than take its ticks for
+picoseconds. Fixed-stride records allow chunked/memory-mapped reads; the
+reader reports malformed input with exact byte offsets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ assert _RECORD_DTYPE.itemsize == 16
 
 
 def write_ptg1(path, stream: TimeTagStream) -> None:
-    """Write a tag stream; times must be sorted non-negative integers."""
+    """Write a tag stream; times must be sorted non-negative integer picoseconds."""
     times = np.asarray(stream.times_ps)
     channels = np.asarray(stream.channels)
     if times.size and (np.any(times < 0) or np.any(np.diff(times) < 0)):
@@ -36,7 +38,7 @@ def write_ptg1(path, stream: TimeTagStream) -> None:
     records["time"] = times.astype(np.uint64)
     records["channel"] = channels.astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(PTG1_MAGIC, PTG1_VERSION, int(stream.resolution_ps), times.size))
+        fh.write(_HEADER.pack(PTG1_MAGIC, PTG1_VERSION, 1, times.size))
         fh.write(records.tobytes())
 
 
@@ -56,6 +58,10 @@ def read_ptg1(path) -> TimeTagStream:
     if version != PTG1_VERSION:
         raise ValidationError(
             "unsupported version %d at byte offset 4" % version
+        )
+    if resolution != 1:
+        raise ValidationError(
+            "unsupported resolution %d ps at byte offset 6 (tags are 1 ps)" % resolution
         )
     body = raw[_HEADER.size :]
     expected = count * _RECORD_DTYPE.itemsize
@@ -82,9 +88,7 @@ def read_ptg1(path) -> TimeTagStream:
             "invalid channel %d in record %d at byte offset %d"
             % (channels[i], i, _HEADER.size + i * _RECORD_DTYPE.itemsize + 8)
         )
-    return TimeTagStream(
-        times_ps=times, channels=channels, resolution_ps=int(resolution)
-    )
+    return TimeTagStream(times_ps=times, channels=channels)
 
 
 def write_histogram_csv(path, hist: CorrelationHistogram) -> None:

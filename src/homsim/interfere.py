@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,70 +28,27 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class InterferenceKernelParams:
-    """Rates and overlaps feeding the mutual-coherence kernel.
-
-    gamma1/gamma2 are radiative rates (1/ps), gstar1/gstar2 pure dephasing
-    rates (1/ps), delta_rad_ps the angular frequency difference (rad/ps),
-    overlap the product of polarization overlap and any classical contrast
-    cap, reflectance the coupler same-side coefficient.
-    """
-
-    gamma1: float
-    gamma2: float
-    gstar1: float
-    gstar2: float
-    delta_rad_ps: float = 0.0
-    overlap: float = 1.0
-    reflectance: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.gamma1 > 0 and self.gamma2 > 0):
-            raise ValidationError("radiative rates must be strictly positive")
-        if self.gstar1 < 0 or self.gstar2 < 0:
-            raise ValidationError("pure dephasing rates must be >= 0")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValidationError("overlap must be in [0, 1]")
-        if not 0.0 < self.reflectance < 1.0:
-            raise ValidationError("reflectance must be in (0, 1)")
-
-
-def kernel_params(
+def coherence_kernel(
+    tau_ps,
     e1: EmitterSpec,
     e2: EmitterSpec,
-    circuit: CircuitSpec,
+    overlap: float = 1.0,
     delta_uev: float | None = None,
-) -> InterferenceKernelParams:
-    """Build kernel parameters from two emitters and the circuit.
-
-    delta_uev defaults to the emitters' energy difference. The circuit's
-    classical_visibility cap multiplies pol_overlap.
-    """
-    if delta_uev is None:
-        delta_uev = e1.energy_uev - e2.energy_uev
-    return InterferenceKernelParams(
-        gamma1=e1.radiative_rate,
-        gamma2=e2.radiative_rate,
-        gstar1=e1.pure_dephasing_rate,
-        gstar2=e2.pure_dephasing_rate,
-        delta_rad_ps=detuning_to_angular(delta_uev),
-        overlap=circuit.pol_overlap * circuit.contrast_cap,
-        reflectance=circuit.reflectance,
-    )
-
-
-def coherence_kernel(tau_ps, params: InterferenceKernelParams, freq_offset_uev=0.0):
+    freq_offset_uev=0.0,
+):
     """Mutual coherence D(tau); accepts scalars or arrays, |D| <= overlap.
 
-    freq_offset_uev is the pair's extra detuning on top of params.delta_rad_ps:
-    the simulator passes each interfering pair's spectral-diffusion offsets
-    (source 1 minus source 2), elementwise with tau_ps.
+    delta_uev defaults to the emitters' energy difference (1 minus 2).
+    freq_offset_uev is the pair's extra detuning on top of it: the simulator
+    passes each interfering pair's spectral-diffusion offsets (source 1
+    minus source 2), elementwise with tau_ps.
     """
     tau = np.asarray(tau_ps, dtype=float)
-    a = params.gstar1 + params.gstar2
-    delta = params.delta_rad_ps + detuning_to_angular(freq_offset_uev)
-    out = params.overlap * np.cos(delta * tau) * np.exp(-np.abs(tau) * a)
+    if delta_uev is None:
+        delta_uev = e1.energy_uev - e2.energy_uev
+    a = e1.pure_dephasing_rate + e2.pure_dephasing_rate
+    delta = detuning_to_angular(delta_uev) + detuning_to_angular(freq_offset_uev)
+    out = overlap * np.cos(delta * tau) * np.exp(-np.abs(tau) * a)
     return out if out.ndim else float(out)
 
 
@@ -213,7 +169,7 @@ def visibility_numeric(
     p1 = np.exp(-t / t1a)
     p2 = np.exp(-t / t1b)
     lags = np.arange(-(n - 1), n) * step_ps - delay_ps
-    kern = coherence_kernel(lags, kernel_params(e1, e2, CircuitSpec(), delta_uev))
+    kern = coherence_kernel(lags, e1, e2, delta_uev=delta_uev)
     # s[i] = sum_j p2[j] * kern(t_i - t_j - delay), entries n-1 .. 2n-2 of
     # the linear convolution. A circular one of length m >= 2n-1 wraps only
     # entries from m on, which land below n-1; m is a power of two for speed.
@@ -240,24 +196,25 @@ def postselected_visibility(g2_zero_time: float) -> float:
     return v
 
 
-def envelope_cross_correlation(tau_ps, params: InterferenceKernelParams):
+def envelope_cross_correlation(tau_ps, e1: EmitterSpec, e2: EmitterSpec):
     """Normalized density of the emission-time difference of the two wavepackets."""
     tau = np.asarray(tau_ps, dtype=float)
-    g1, g2 = params.gamma1, params.gamma2
+    g1, g2 = e1.radiative_rate, e2.radiative_rate
     c = g1 * g2 / (g1 + g2)
     w = np.where(tau >= 0.0, c * np.exp(-g1 * tau), c * np.exp(g2 * tau))
     return w if w.ndim else float(w)
 
 
-def predicted_hom_dip(tau_grid_ps, params: InterferenceKernelParams):
+def predicted_hom_dip(tau_grid_ps, e1: EmitterSpec, e2: EmitterSpec, circuit: CircuitSpec):
     """Predicted central-peak coincidence density.
 
     c(tau) = w(tau) * 0.5 * (1 - 4 r t D(tau)) with w the envelope
-    cross-correlation; normalized so that the distinguishable case (D = 0)
-    integrates to 0.5 when a side peak integrates to 1.
+    cross-correlation and D the kernel at the circuit's overlap; normalized
+    so that the distinguishable case (D = 0) integrates to 0.5 when a side
+    peak integrates to 1.
     """
     tau = np.asarray(tau_grid_ps, dtype=float)
-    r = params.reflectance
+    r = circuit.reflectance
     t = 1.0 - r
-    w = envelope_cross_correlation(tau, params)
-    return w * 0.5 * (1.0 - 4.0 * r * t * coherence_kernel(tau, params))
+    w = envelope_cross_correlation(tau, e1, e2)
+    return w * 0.5 * (1.0 - 4.0 * r * t * coherence_kernel(tau, e1, e2, circuit.overlap))

@@ -156,8 +156,10 @@ class CircuitSpec:
         return 1.0 - self.reflectance
 
     @property
-    def contrast_cap(self) -> float:
-        return 1.0 if self.classical_visibility is None else self.classical_visibility
+    def overlap(self) -> float:
+        """pol_overlap times the classical_visibility cap: the kernel's factor."""
+        cap = 1.0 if self.classical_visibility is None else self.classical_visibility
+        return self.pol_overlap * cap
 
 
 @dataclass(frozen=True)

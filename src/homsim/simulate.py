@@ -7,9 +7,11 @@ each (4, n) array are source 1's primary and extra slow-branch photon, rows
 2/3 source 2's, each source's two ordered by emission time. The primary is
 gated by the blinking telegraph; the extra photon exists only with it. A
 pulse in which exactly one photon of each source survives to the coupler
-interferes through interfere.coherence_kernel; every other photon routes
-classically. The chunks' tags are merged with the dark counts, sorted and
-pruned for dead time.
+interferes through interfere.coherence_kernel, taken on the two EmitterSpecs
+at CircuitSpec.overlap with the pair's spectral-diffusion offsets as extra
+detuning; every other photon routes classically. The chunks' tags are
+merged with the dark counts, sorted and pruned for dead time, and returned
+as a TimeTagStream of integer picoseconds.
 
 Randomness is keyed per block of _CHUNK_PULSES pulses: each (seed, stream,
 block) seeds its own SFC64 generator, whose words are drawn in a fixed order
@@ -40,7 +42,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .interfere import coherence_kernel, kernel_params
+from .interfere import coherence_kernel
 from .model import (
     CircuitSpec,
     ConfigurationError,
@@ -61,13 +63,12 @@ _CHUNK_PULSES = 1 << 16
 class TimeTagStream:
     """Detector output: channel/time records sorted by time.
 
-    times_ps are integer picoseconds (resolution 1 ps); channels are 0/1.
-    seed and config_digest carry provenance when produced by a simulation.
+    times_ps are integer picoseconds; channels are 0/1. seed and
+    config_digest carry provenance when produced by a simulation.
     """
 
     times_ps: np.ndarray
     channels: np.ndarray
-    resolution_ps: int = 1
     seed: int | None = None
     config_digest: str | None = None
 
@@ -232,14 +233,14 @@ def _order_slots(has, times, freqs):
 
 
 def _route_chunk(
-    block: int, src1, src2, circuit: CircuitSpec, det: DetectorSpec, kparams, seed: int
+    block: int, e1: EmitterSpec, e2: EmitterSpec, src1, src2,
+    circuit: CircuitSpec, det: DetectorSpec, seed: int,
 ):
     """Route one pulse block through the splitter; returns tag keys + counters.
 
-    src1 and src2 are the sources' _emission_columns; they stack into the
-    four photon slots, 0/1 from source 1 and 2/3 from source 2. kparams are
-    the pair kernel's interfere.InterferenceKernelParams. A tag's key is
-    2 * time + channel.
+    src1 and src2 are the _emission_columns of emitters e1 and e2; they stack
+    into the four photon slots, 0/1 from source 1 and 2/3 from source 2. A
+    tag's key is 2 * time + channel.
     """
     has, times, freqs = (np.concatenate((a, b)) for a, b in zip(src1[:3], src2[:3]))
     _order_slots(has, times, freqs)
@@ -270,7 +271,8 @@ def _route_chunk(
         sa = sv[1, idx] * n + idx
         sb = (sv[3, idx] + 2) * n + idx
         d = coherence_kernel(
-            times.take(sa) - times.take(sb), kparams, freqs.take(sa) - freqs.take(sb)
+            times.take(sa) - times.take(sb), e1, e2, circuit.overlap,
+            freq_offset_uev=freqs.take(sa) - freqs.take(sb),
         )
         p_cross = r * r + t * t - 2.0 * r * t * d
         u_cross, u_assign = rng.random((2, idx.size))
@@ -405,14 +407,13 @@ def run_simulation(
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must fit in 64 bits")
     _require_representable(emitter1, emitter2, det, train)
-    kparams = kernel_params(emitter1, emitter2, circuit)
     gate1 = _blink_gate(emitter1, train, seed, 1)
     gate2 = _blink_gate(emitter2, train, seed, 2)
 
     def work(block: int):
         col1 = _emission_columns(emitter1, train, 1, seed, block, gate1)
         col2 = _emission_columns(emitter2, train, 2, seed, block, gate2)
-        return _route_chunk(block, col1, col2, circuit, det, kparams, seed)
+        return _route_chunk(block, emitter1, emitter2, col1, col2, circuit, det, seed)
 
     results = _map_chunks(work, range(-(-train.n_pulses // _CHUNK_PULSES)))
     dark = _dark_counts(det, train.span_ps, seed)

@@ -71,7 +71,7 @@ def reference_circuit(**kw):
     return hs.CircuitSpec(**base)
 
 
-def make_stream(times0, times1, resolution_ps=1):
+def make_stream(times0, times1):
     """Build a sorted two-channel TimeTagStream from per-channel times."""
     t0 = np.asarray(times0, dtype=np.int64)
     t1 = np.asarray(times1, dtype=np.int64)
@@ -80,9 +80,7 @@ def make_stream(times0, times1, resolution_ps=1):
         [np.zeros(t0.size, dtype=np.uint8), np.ones(t1.size, dtype=np.uint8)]
     )
     order = np.lexsort((chans, times))
-    return hs.TimeTagStream(
-        times_ps=times[order], channels=chans[order], resolution_ps=resolution_ps
-    )
+    return hs.TimeTagStream(times_ps=times[order], channels=chans[order])
 
 
 def brute_force_histogram(stream, bin_width_ps, window_ps):

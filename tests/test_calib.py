@@ -103,9 +103,13 @@ class TestFringeVisibility:
         v, _ = hs.fringe_visibility(y, mode="raw")
         assert v == pytest.approx(8.0 / 12.0, rel=1e-12)
 
+    # Nonzero samples start at the smallest normal float over the smallest
+    # scale, so every scaled sample stays normal: a scaled value in the
+    # subnormal range loses precision or flushes to 0 (5e-324 * 0.5 is 0),
+    # and the scaled trace is then a different trace, not a rescaled one.
     @given(
         data=st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            st.just(0.0) | st.floats(min_value=np.finfo(float).tiny / 1e-3, max_value=1e6),
             min_size=2, max_size=200,
         ),
         scale=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),

@@ -232,6 +232,23 @@ class TestAnalyzeHom:
         peaks = (sim_artifacts["dir"] / "hom_peaks.csv").read_text().splitlines()
         assert sum(1 for ln in peaks if not ln.startswith("#")) == 11
 
+    def test_window_without_room_for_eleven_peaks_tables_the_configured_comb(
+        self, run, sim_artifacts, tmp_path
+    ):
+        # ten side peaks reach 5 periods + 1.5 ns = 67.3 ns, past a 60 ns window
+        cfg = write_config(tmp_path, analysis={"window_ps": 60000.0, "n_side": 6})
+        code, _, err = run(
+            "analyze-hom",
+            "--tags", sim_artifacts["tags"],
+            "--config", cfg,
+            "--out-prefix", tmp_path / "w60",
+        )
+        assert code == 0, err
+        report = json.loads((tmp_path / "w60_report.json").read_text())
+        assert report["eleven_peak_areas"]["k"] == [-3, -2, -1, 0, 1, 2, 3]
+        peaks = (tmp_path / "w60_peaks.csv").read_text().splitlines()
+        assert sum(1 for ln in peaks if not ln.startswith("#")) == 7
+
 
 class TestCorrelateCommand:
     def test_histogram_csv_and_svg(self, run, sim_artifacts):

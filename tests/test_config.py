@@ -85,7 +85,7 @@ class TestRoundTrip:
         d["circuit"]["classical_visibility"] = None
         cfg = parse_dict(d)
         assert cfg.circuit.classical_visibility is None
-        assert cfg.circuit.contrast_cap == 1.0
+        assert cfg.circuit.overlap == cfg.circuit.pol_overlap
         assert scenario_to_dict(cfg)["circuit"]["classical_visibility"] is None
 
 

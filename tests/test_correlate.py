@@ -95,22 +95,11 @@ class TestCrossCorrelate:
         assert np.array_equal(fine.counts.reshape(-1, 2).sum(axis=1), coarse.counts)
         assert fine.counts.sum() == coarse.counts.sum()
 
-    def test_unsorted_input_rejected(self):
-        # raw (times, channels) input bypasses the stream constructor's
-        # own ordering validation, exercising the correlator's check
-        unsorted = (
-            np.array([100, 50], dtype=np.int64),
-            np.array([0, 1], dtype=np.uint8),
-        )
-        with pytest.raises(hs.ValidationError):
-            hs.cross_correlate(unsorted, 10.0, 1000.0)
-
     def test_stream_constructor_rejects_unsorted(self):
         with pytest.raises(hs.ValidationError):
             hs.TimeTagStream(
                 times_ps=np.array([100, 50], dtype=np.int64),
                 channels=np.array([0, 1], dtype=np.uint8),
-                resolution_ps=1,
             )
 
     def test_bin_must_divide_full_window_evenly(self):

@@ -1,11 +1,10 @@
-"""Least-squares solver, IRF convolution, and the curve models."""
+"""Least-squares solver, the closed-form IRF convolution, and the curve models."""
 
 import numpy as np
 import pytest
 
 import homsim as hs
 from homsim.fitting import (
-    convolve_gaussian,
     exp_conv_gauss,
     fit_biexp_irf,
     fit_g2cw,
@@ -113,64 +112,6 @@ class TestSolver:
         {"y": y, "p0": p0, "sigma": sigma}[where][1] = np.nan
         with pytest.raises(hs.ValidationError):
             nlls_solve(_line, x, y, p0, sigma=sigma)
-
-
-class TestConvolveGaussian:
-    def test_delta_becomes_unit_area_gaussian(self):
-        step, sigma = 2.0, 40.0
-        y = np.zeros(1001)
-        y[500] = 1.0 / step  # unit-area spike
-        out = convolve_gaussian(y, step, sigma)
-        t = (np.arange(1001) - 500) * step
-        inner = np.abs(t) <= 4.5 * sigma
-        expected = np.exp(-0.5 * (t / sigma) ** 2) / (
-            sigma * np.sqrt(2.0 * np.pi)
-        )
-        assert np.allclose(out[inner], expected[inner], rtol=1e-5, atol=1e-9)
-        assert out.sum() * step == pytest.approx(1.0, rel=1e-9)
-        assert np.all(out[np.abs(t) > 5.0 * sigma + step] == 0.0)
-
-    def test_tiny_sigma_is_identity(self):
-        y = np.sin(np.linspace(0, 6, 200))
-        out = convolve_gaussian(y, step_ps=10.0, sigma_ps=0.1)
-        assert np.allclose(out, y, atol=1e-12)
-        out0 = convolve_gaussian(y, step_ps=10.0, sigma_ps=0.0)
-        assert np.allclose(out0, y, atol=0.0)
-
-    def test_too_coarse_grid_rejected(self):
-        with pytest.raises(hs.ConfigurationError):
-            convolve_gaussian(np.ones(50), step_ps=10.0, sigma_ps=20.0)
-
-    def test_exponential_blur_preserves_integral_and_delays_peak(self):
-        step, sigma, tau = 4.0, 34.0, 720.0
-        t = np.arange(-2000.0, 8000.0, step)
-        y = np.where(t >= 0, np.exp(-np.clip(t, 0, None) / tau), 0.0)
-        out = convolve_gaussian(y, step, sigma)
-        assert out.sum() == pytest.approx(y.sum(), rel=1e-6)
-        assert t[np.argmax(out)] > 0.0  # finite rise pushes the peak late
-        assert out[t < -(5.0 * sigma + 2.0 * step)].max() < 1e-12
-
-    def test_commutes_with_time_translation(self):
-        step, sigma = 2.0, 30.0
-        t = np.arange(0.0, 4000.0, step)
-        y = np.exp(-0.5 * ((t - 1000.0) / 150.0) ** 2)
-        shifted = np.roll(y, 50)
-        a = np.roll(convolve_gaussian(y, step, sigma), 50)
-        b = convolve_gaussian(shifted, step, sigma)
-        # compare away from the wrap-around edges
-        assert np.allclose(a[200:-200], b[200:-200], atol=1e-12)
-
-    def test_discrete_route_matches_closed_form(self):
-        step, sigma, tau = 1.0, 34.0, 720.0
-        t = np.arange(-1000.0, 6000.0, step)
-        y = np.where(t >= 0, np.exp(-np.clip(t, 0, None) / tau), 0.0)
-        disc = convolve_gaussian(y, step, sigma)
-        closed = exp_conv_gauss(t, tau, sigma)
-        # Discrete route samples the input; agreement is limited by the
-        # jump at t=0 (O(step) there), much tighter elsewhere.
-        assert np.max(np.abs(disc - closed)) < 8.0 * step / sigma
-        far = np.abs(t) > 5 * sigma
-        assert np.max(np.abs(disc[far] - closed[far])) < 1e-3
 
 
 class TestBiexpFit:

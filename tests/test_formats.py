@@ -10,11 +10,10 @@ import homsim as hs
 from homsim import formats
 
 
-def _stream(times, channels, resolution=1):
+def _stream(times, channels):
     return hs.TimeTagStream(
         times_ps=np.asarray(times, dtype=np.int64),
         channels=np.asarray(channels, dtype=np.uint8),
-        resolution_ps=resolution,
     )
 
 
@@ -30,13 +29,13 @@ def _raw_file(tmp_path, *, magic=b"PTG1", version=1, resolution=1, records=()):
 
 class TestPtg1RoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):
-        s = _stream([5, 17, 17, 940, 1200], [0, 1, 0, 1, 1], resolution=1)
+        s = _stream([5, 17, 17, 940, 1200], [0, 1, 0, 1, 1])
         p = tmp_path / "tags.ptg1"
         formats.write_ptg1(p, s)
         back = formats.read_ptg1(p)
         assert np.array_equal(back.times_ps, s.times_ps)
         assert np.array_equal(back.channels, s.channels)
-        assert back.resolution_ps == 1
+        assert struct.unpack_from("<Q", p.read_bytes(), 6)[0] == 1  # resolution_ps
 
     def test_write_is_deterministic_bytes(self, tmp_path):
         s = _stream([1, 2, 3], [0, 1, 0])
@@ -77,6 +76,12 @@ class TestPtg1Malformed:
     def test_bad_version_reports_offset_four(self, tmp_path):
         p = _raw_file(tmp_path, version=9)
         with pytest.raises(hs.ValidationError, match="byte offset 4"):
+            formats.read_ptg1(p)
+
+    def test_resolution_other_than_1_ps_reports_offset_six(self, tmp_path):
+        # ticks of 4 ps would be misread as picoseconds: span 20 for ticks 10..30
+        p = _raw_file(tmp_path, resolution=4, records=[(10, 0), (30, 1)])
+        with pytest.raises(hs.ValidationError, match="byte offset 6"):
             formats.read_ptg1(p)
 
     def test_unsorted_record_reports_its_offset(self, tmp_path):

@@ -20,10 +20,8 @@ def _valid_pair(t1a, t2a_frac, t1b, t2b_frac):
 
 class TestCoherenceKernel:
     def test_zero_delay_equals_overlap(self):
-        p = hs.kernel_params(
-            emitter_short_t2(), emitter_long_t2(), hs.CircuitSpec(0.5, 0.95)
-        )
-        assert hs.coherence_kernel(0.0, p) == pytest.approx(0.95, rel=1e-12)
+        k = hs.coherence_kernel(0.0, emitter_short_t2(), emitter_long_t2(), 0.95)
+        assert k == pytest.approx(0.95, rel=1e-12)
 
     @given(
         tau=st.floats(min_value=-5000, max_value=5000),
@@ -32,22 +30,17 @@ class TestCoherenceKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_kernel_bounded_by_overlap(self, tau, pol, delta):
-        p = hs.kernel_params(
-            emitter_short_t2(),
-            emitter_long_t2(),
-            hs.CircuitSpec(0.5, pol),
-            delta_uev=delta,
+        k = hs.coherence_kernel(
+            tau, emitter_short_t2(), emitter_long_t2(), pol, delta_uev=delta
         )
-        assert abs(hs.coherence_kernel(tau, p)) <= pol + 1e-12
+        assert abs(k) <= pol + 1e-12
 
     @given(tau=st.floats(min_value=0.0, max_value=5000.0))
     @settings(max_examples=100, deadline=None)
     def test_kernel_even_at_zero_detuning(self, tau):
-        p = hs.kernel_params(
-            emitter_short_t2(), emitter_long_t2(), hs.CircuitSpec(0.5, 1.0)
-        )
-        assert hs.coherence_kernel(tau, p) == pytest.approx(
-            hs.coherence_kernel(-tau, p), rel=1e-12, abs=1e-300
+        e1, e2 = emitter_short_t2(), emitter_long_t2()
+        assert hs.coherence_kernel(tau, e1, e2) == pytest.approx(
+            hs.coherence_kernel(-tau, e1, e2), rel=1e-12, abs=1e-300
         )
 
 
@@ -292,8 +285,8 @@ class TestQuadratureConvolution:
         t = np.arange(n) * step
         p1 = np.exp(-t / e1.t1_fast_ps)
         p2 = np.exp(-t / e2.t1_fast_ps)
-        params = hs.kernel_params(e1, e2, hs.CircuitSpec(), delta_uev)
-        kern = hs.coherence_kernel(t[:, None] - t[None, :] - delay_ps, params)
+        lags = t[:, None] - t[None, :] - delay_ps
+        kern = hs.coherence_kernel(lags, e1, e2, delta_uev=delta_uev)
         return float(p1 @ kern @ p2 / (p1.sum() * p2.sum()))
 
     @pytest.mark.parametrize("delay", [0.0, 500.0])
@@ -328,37 +321,30 @@ class TestPostselectedVisibility:
 def _windowed_dip_ratio(e1, e2, circuit, half_window_ps=1500.0, n=120001):
     """Integral of the dip density over the window, relative to the
     distinguishable level (half the envelope integral over the same window)."""
-    p = hs.kernel_params(e1, e2, circuit)
     tau = np.linspace(-half_window_ps, half_window_ps, n)
-    c = hs.predicted_hom_dip(tau, p)
-    w = hs.envelope_cross_correlation(tau, p)
+    c = hs.predicted_hom_dip(tau, e1, e2, circuit)
+    w = hs.envelope_cross_correlation(tau, e1, e2)
     return np.trapezoid(c, tau) / (0.5 * np.trapezoid(w, tau))
 
 
 class TestDipModel:
     def test_envelope_is_a_normalized_density(self):
-        p = hs.kernel_params(
-            emitter_short_t2(), emitter_long_t2(), hs.CircuitSpec(0.5, 1.0)
-        )
         tau = np.linspace(-30000.0, 30000.0, 600001)
-        w = hs.envelope_cross_correlation(tau, p)
+        w = hs.envelope_cross_correlation(tau, emitter_short_t2(), emitter_long_t2())
         assert np.all(w >= 0.0)
         assert np.trapezoid(w, tau) == pytest.approx(1.0, abs=1e-6)
 
     def test_distinguishable_dip_ratio_is_flat_half(self):
-        p = hs.kernel_params(
-            emitter_short_t2(), emitter_long_t2(), hs.CircuitSpec(0.5, 0.0)
-        )
+        e1, e2 = emitter_short_t2(), emitter_long_t2()
         taus = np.linspace(-4000.0, 4000.0, 41)
-        c = hs.predicted_hom_dip(taus, p)
-        w = hs.envelope_cross_correlation(taus, p)
+        c = hs.predicted_hom_dip(taus, e1, e2, hs.CircuitSpec(0.5, 0.0))
+        w = hs.envelope_cross_correlation(taus, e1, e2)
         mask = w > 1e-12
         assert np.allclose(c[mask] / w[mask], 0.5, atol=1e-12)
 
     def test_full_coalescence_nulls_zero_delay(self):
         e = make_emitter(t1_fast_ps=600.0, t2_ps=1200.0)
-        p = hs.kernel_params(e, e, hs.CircuitSpec(0.5, 1.0))
-        c = hs.predicted_hom_dip(np.array([0.0]), p)
+        c = hs.predicted_hom_dip(np.array([0.0]), e, e, hs.CircuitSpec(0.5, 1.0))
         assert c[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_windowed_dip_ratio_reference_value(self):

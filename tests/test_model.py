@@ -139,30 +139,23 @@ class TestCircuitSpec:
                 reflectance=0.5, pol_overlap=1.0, arm_transmission=(1.0, 1.0, 1.0)
             )
 
-    def test_contrast_cap_reflects_classical_ceiling(self):
+    def test_overlap_multiplies_classical_ceiling(self):
         c = hs.CircuitSpec(reflectance=0.5, pol_overlap=0.9, classical_visibility=0.98)
-        assert c.contrast_cap == pytest.approx(0.98, rel=1e-12)
+        assert c.overlap == pytest.approx(0.9 * 0.98, rel=1e-12)
         c2 = hs.CircuitSpec(reflectance=0.5, pol_overlap=0.9)
-        assert c2.contrast_cap == 1.0
-        # Both factors multiply into the interference kernel.
-        k = hs.kernel_params(
-            hs.EmitterSpec(
-                energy_uev=0.0,
-                t1_fast_ps=600.0,
-                t1_slow_ps=12000.0,
-                slow_fraction=0.0,
-                t2_ps=440.0,
-            ),
-            hs.EmitterSpec(
-                energy_uev=0.0,
-                t1_fast_ps=600.0,
-                t1_slow_ps=12000.0,
-                slow_fraction=0.0,
-                t2_ps=440.0,
-            ),
-            c,
+        assert c2.overlap == 0.9
+        # Both factors multiply into the interference term of the dip.
+        e = hs.EmitterSpec(
+            energy_uev=0.0,
+            t1_fast_ps=600.0,
+            t1_slow_ps=12000.0,
+            slow_fraction=0.0,
+            t2_ps=440.0,
         )
-        assert k.overlap == pytest.approx(0.9 * 0.98, rel=1e-12)
+        w0 = hs.envelope_cross_correlation(0.0, e, e)
+        assert hs.predicted_hom_dip(0.0, e, e, c) == pytest.approx(
+            w0 * 0.5 * (1.0 - 0.9 * 0.98), rel=1e-12
+        )
 
 
 class TestDetectorSpec:
@@ -234,4 +227,5 @@ def test_every_float_field_must_be_finite(spec, name, bad):
 
 
 def test_classical_visibility_may_stay_unset():
-    assert hs.CircuitSpec(reflectance=0.5, classical_visibility=None).contrast_cap == 1.0
+    c = hs.CircuitSpec(reflectance=0.5, pol_overlap=0.8, classical_visibility=None)
+    assert c.overlap == 0.8

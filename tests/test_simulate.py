@@ -244,8 +244,9 @@ class TestRunSimulation:
         det = hs.DetectorSpec(
             efficiency=1.0, dark_rate_cps=500000.0, dead_time_ps=5000.0
         )
+        # about 16 prunings are expected over 500k pulses, so P(none) ~ 1e-7
         stream, c = self._run(
-            e1=_off_emitter(), e2=_off_emitter(), detector=det, train=_train(50000)
+            e1=_off_emitter(), e2=_off_emitter(), detector=det, train=_train(500000)
         )
         assert c.dead_time_pruned > 0
         for ch in (0, 1):
