@@ -333,6 +333,24 @@ class TestEstimateDelay:
         a, b = self._trace_pair(500.0)
         assert hs.estimate_delay(a, b) == pytest.approx(500.0, abs=5.0)
 
+    def test_negative_shift_recovered(self):
+        a, b = self._trace_pair(-500.0)
+        assert hs.estimate_delay(a, b) == pytest.approx(-500.0, abs=5.0)
+
+    def test_unequal_bin_widths_rejected(self):
+        a, _ = self._trace_pair(0.0)
+        coarse = hs.Timetrace(bin_width_ps=40.0, period_ps=a.period_ps, counts=a.counts)
+        with pytest.raises(hs.ValidationError):
+            hs.estimate_delay(a, coarse)
+
+    def test_unequal_bin_counts_rejected(self):
+        a, _ = self._trace_pair(0.0)
+        short = hs.Timetrace(
+            bin_width_ps=a.bin_width_ps, period_ps=a.period_ps, counts=a.counts[:-1]
+        )
+        with pytest.raises(hs.ValidationError):
+            hs.estimate_delay(a, short)
+
     def test_noisy_shift_recovered(self):
         errors = []
         for seed in range(5):

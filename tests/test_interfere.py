@@ -43,6 +43,23 @@ class TestCoherenceKernel:
             hs.coherence_kernel(-tau, e1, e2), rel=1e-12, abs=1e-300
         )
 
+    def test_default_detuning_is_the_emitters_energy_difference(self):
+        e1, e2 = emitter_short_t2(energy_uev=2.0), emitter_long_t2(energy_uev=7.0)
+        tau = np.linspace(-2000.0, 2000.0, 81)
+        k = hs.coherence_kernel(tau, e1, e2, 0.9)
+        assert np.array_equal(k, hs.coherence_kernel(tau, e1, e2, 0.9, delta_uev=-5.0))
+        assert not np.allclose(k, hs.coherence_kernel(tau, e1, e2, 0.9, delta_uev=0.0))
+
+    def test_per_pair_frequency_offset_adds_to_the_detuning(self):
+        e1, e2 = emitter_short_t2(), emitter_long_t2()
+        tau = np.array([-800.0, 150.0, 900.0])
+        offsets = np.array([0.5, -1.0, 3.0])
+        k = hs.coherence_kernel(tau, e1, e2, delta_uev=2.0, freq_offset_uev=offsets)
+        one_by_one = [
+            hs.coherence_kernel(t, e1, e2, delta_uev=2.0 + o) for t, o in zip(tau, offsets)
+        ]
+        assert k == pytest.approx(one_by_one, rel=1e-12, abs=1e-15)
+
 
 class TestClosedFormVisibility:
     def test_reference_point_zero_detuning(self):
@@ -346,6 +363,13 @@ class TestDipModel:
         e = make_emitter(t1_fast_ps=600.0, t2_ps=1200.0)
         c = hs.predicted_hom_dip(np.array([0.0]), e, e, hs.CircuitSpec(0.5, 1.0))
         assert c[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_delay_depth_follows_the_circuit_overlap(self):
+        e1, e2 = emitter_short_t2(), emitter_long_t2()
+        circuit = hs.CircuitSpec(0.5, 0.8, classical_visibility=0.9)
+        c = hs.predicted_hom_dip(0.0, e1, e2, circuit)
+        w = hs.envelope_cross_correlation(0.0, e1, e2)
+        assert c == pytest.approx(w * 0.5 * (1.0 - 0.8 * 0.9), rel=1e-12)
 
     def test_windowed_dip_ratio_reference_value(self):
         e1, e2 = emitter_short_t2(), emitter_long_t2()
