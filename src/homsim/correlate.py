@@ -93,27 +93,18 @@ def cross_correlate(
             "window_ps must be a positive even multiple of bin_width_ps"
         )
     # the stream guarantees sorted times and channels 0/1
-    times = stream.times_ps.astype(np.float64)
-    t0 = times[stream.channels == 0]
-    t1 = times[stream.channels == 1]
-    if t0.size == 0 or t1.size == 0:
-        return CorrelationHistogram(
-            bin_width_ps=float(bin_width_ps),
-            window_ps=float(window_ps),
-            counts=np.zeros(n_bins, dtype=np.int64),
-            total_pairs=0,
-        )
-    span = float(times[-1] - times[0])
-    if window_ps > span and (t0.size > 1 or t1.size > 1):
+    t0, t1 = (stream.times_ps[stream.channels == ch].astype(np.float64) for ch in (0, 1))
+    if t0.size and t1.size and window_ps > stream.span_ps and (t0.size > 1 or t1.size > 1):
         raise ValidationError(
-            "correlation window %g ps exceeds the data span %g ps" % (window_ps, span)
+            "correlation window %g ps exceeds the data span %g ps" % (window_ps, stream.span_ps)
         )
     chunk = 1 << 14
-    chunks = [t0[i : i + chunk] for i in range(0, t0.size, chunk)]
-    partials = _map_chunks(
-        lambda c: _histogram_chunk(c, t1, window_ps, bin_width_ps, n_bins), chunks
-    )
-    counts = np.sum(partials, axis=0, dtype=np.int64)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for partial in _map_chunks(
+        lambda i: _histogram_chunk(t0[i : i + chunk], t1, window_ps, bin_width_ps, n_bins),
+        range(0, t0.size, chunk),
+    ):
+        counts += partial
     return CorrelationHistogram(
         bin_width_ps=float(bin_width_ps),
         window_ps=float(window_ps),

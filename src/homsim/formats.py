@@ -12,8 +12,8 @@ reader reports malformed input with exact byte offsets.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -26,60 +26,75 @@ PTG1_VERSION = 1
 _HEADER = struct.Struct("<4sHQQ")
 _RECORD_DTYPE = np.dtype([("time", "<u8"), ("channel", "u1"), ("reserved", "u1", (7,))])
 assert _RECORD_DTYPE.itemsize == 16
+_SLICE_RECORDS = 1 << 16  # records written or read per slice
 
 
 def write_ptg1(path, stream: TimeTagStream) -> None:
-    """Write a tag stream; times must be sorted non-negative integer picoseconds."""
-    times = np.asarray(stream.times_ps)
-    channels = np.asarray(stream.channels)
-    if times.size and (np.any(times < 0) or np.any(np.diff(times) < 0)):
+    """Write a tag stream, one record slice at a time; times must be sorted
+    non-negative integer picoseconds."""
+    times, channels = stream.times_ps, stream.channels
+    if times.size and (times[0] < 0 or np.any(times[1:] < times[:-1])):
         raise ValidationError("tag times must be sorted and non-negative")
-    records = np.zeros(times.size, dtype=_RECORD_DTYPE)
-    records["time"] = times.astype(np.uint64)
-    records["channel"] = channels.astype(np.uint8)
+    # the reserved bytes stay zero: only time and channel are refilled
+    records = np.zeros(min(times.size, _SLICE_RECORDS), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(PTG1_MAGIC, PTG1_VERSION, 1, times.size))
-        fh.write(records.tobytes())
+        for i in range(0, times.size, _SLICE_RECORDS):
+            part = records[: min(_SLICE_RECORDS, times.size - i)]
+            part["time"] = times[i : i + part.size]
+            part["channel"] = channels[i : i + part.size]
+            fh.write(part)
 
 
 def read_ptg1(path) -> TimeTagStream:
-    """Read a tag file, rejecting malformed content with byte offsets."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValidationError(
-            "truncated header: file is %d bytes, need %d (at byte offset %d)"
-            % (len(raw), _HEADER.size, len(raw))
-        )
-    magic, version, resolution, count = _HEADER.unpack_from(raw, 0)
-    if magic != PTG1_MAGIC:
-        raise ValidationError(
-            "bad magic %r at byte offset 0 (expected %r)" % (magic, PTG1_MAGIC)
-        )
-    if version != PTG1_VERSION:
-        raise ValidationError(
-            "unsupported version %d at byte offset 4" % version
-        )
-    if resolution != 1:
-        raise ValidationError(
-            "unsupported resolution %d ps at byte offset 6 (tags are 1 ps)" % resolution
-        )
-    body = raw[_HEADER.size :]
-    expected = count * _RECORD_DTYPE.itemsize
-    if len(body) != expected:
-        raise ValidationError(
-            "truncated records: header promises %d records (%d bytes) but %d "
-            "bytes follow; file breaks at byte offset %d"
-            % (count, expected, len(body), _HEADER.size + len(body))
-        )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    times = records["time"].astype(np.int64)
-    channels = records["channel"].copy()
-    bad = np.flatnonzero(np.diff(times) < 0)
+    """Read a tag file one record slice at a time, rejecting malformed
+    content with byte offsets."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValidationError(
+                "truncated header: file is %d bytes, need %d (at byte offset %d)"
+                % (size, _HEADER.size, size)
+            )
+        magic, version, resolution, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != PTG1_MAGIC:
+            raise ValidationError(
+                "bad magic %r at byte offset 0 (expected %r)" % (magic, PTG1_MAGIC)
+            )
+        if version != PTG1_VERSION:
+            raise ValidationError(
+                "unsupported version %d at byte offset 4" % version
+            )
+        if resolution != 1:
+            raise ValidationError(
+                "unsupported resolution %d ps at byte offset 6 (tags are 1 ps)" % resolution
+            )
+        if size - _HEADER.size != count * _RECORD_DTYPE.itemsize:
+            raise ValidationError(
+                "truncated records: header promises %d records (%d bytes) but %d "
+                "bytes follow; file breaks at byte offset %d"
+                % (count, count * _RECORD_DTYPE.itemsize, size - _HEADER.size, size)
+            )
+        times = np.empty(count, dtype=np.int64)
+        channels = np.empty(count, dtype=np.uint8)
+        records = np.empty(min(count, _SLICE_RECORDS), dtype=_RECORD_DTYPE)
+        for i in range(0, count, _SLICE_RECORDS):
+            part = records[: min(_SLICE_RECORDS, count - i)]
+            if fh.readinto(part) != part.nbytes:
+                raise ValidationError("file shrank while read, at byte offset %d" % fh.tell())
+            times[i : i + part.size] = part["time"]
+            channels[i : i + part.size] = part["channel"]
+    bad = np.flatnonzero(times[1:] < times[:-1])
     if bad.size:
         i = int(bad[0]) + 1
         raise ValidationError(
             "unsorted record %d at byte offset %d: time %d follows %d"
             % (i, _HEADER.size + i * _RECORD_DTYPE.itemsize, times[i], times[i - 1])
+        )
+    if count and times[0] < 0:  # sorted, so any time of 2^63 or more is first
+        raise ValidationError(
+            "time %d of record 0 at byte offset %d exceeds the int64 tag clock"
+            % (int(times[0]) + 2**64, _HEADER.size)
         )
     bad_ch = np.flatnonzero(channels > 1)
     if bad_ch.size:

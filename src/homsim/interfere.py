@@ -52,13 +52,17 @@ def coherence_kernel(
     return out if out.ndim else float(out)
 
 
-def _check_visibility_inputs(pol_overlap: float, delta_uev: float, delay_ps: float) -> None:
-    # EmitterSpec already enforces finite positive times and the Fourier limit.
+def _visibility_detuning(e1, e2, pol_overlap: float, delta_uev, delay_ps: float) -> float:
+    """delta_uev, by default the emitters' energy difference (1 minus 2), once
+    it and the other inputs that EmitterSpec does not check are checked."""
+    if delta_uev is None:
+        delta_uev = e1.energy_uev - e2.energy_uev
     if not 0.0 <= pol_overlap <= 1.0:
         raise ValidationError("pol_overlap must be in [0, 1]")
     for name, value in (("delta_uev", delta_uev), ("delay_ps", delay_ps)):
         if not math.isfinite(value):
             raise ValidationError("%s must be finite, got %r" % (name, value))
+    return delta_uev
 
 
 def _exprel(z):
@@ -77,7 +81,7 @@ def _weighted(weight: float, denom: complex) -> complex:
 def visibility_closed_form(
     e1: EmitterSpec,
     e2: EmitterSpec,
-    delta_uev: float = 0.0,
+    delta_uev: float | None = None,
     pol_overlap: float = 1.0,
     delay_ps: float = 0.0,
 ) -> float:
@@ -86,7 +90,8 @@ def visibility_closed_form(
     Evaluates the analytic average of the coherence kernel over the joint
     exponential emission-time distribution of the fast decay components,
     with source 2 excited delay_ps after source 1 (the kernel then sees the
-    emission-time difference minus the delay):
+    emission-time difference minus the delay) and the detuning delta_uev,
+    by default the emitters' energy difference (1 minus 2):
 
         V = pol * c * Re[1/(g1+A) + 1/(g2+A)],   c = g1*g2/(g1+g2),
         A = (gs1 + gs2) + i * delta_omega
@@ -104,7 +109,7 @@ def visibility_closed_form(
     at extreme lifetimes or detunings; a term whose ratio underflows to 0
     or whose denominator overflows is 0.
     """
-    _check_visibility_inputs(pol_overlap, delta_uev, delay_ps)
+    delta_uev = _visibility_detuning(e1, e2, pol_overlap, delta_uev, delay_ps)
     t1a, t1b = e1.t1_fast_ps, e2.t1_fast_ps
     if delay_ps < 0.0:
         t1a, t1b = t1b, t1a
@@ -134,7 +139,7 @@ def visibility_closed_form(
 def visibility_numeric(
     e1: EmitterSpec,
     e2: EmitterSpec,
-    delta_uev: float = 0.0,
+    delta_uev: float | None = None,
     pol_overlap: float = 1.0,
     span_ps: float | None = None,
     step_ps: float | None = None,
@@ -144,11 +149,12 @@ def visibility_numeric(
 
     Independent numerical route used to cross-check the closed form:
     V = pol * sum_ij P1(t_i) P2(t_j) D(t_i - t_j - delay) / (sum P1 * sum P2)
-    on a uniform grid, with source 2 excited delay_ps after source 1. The
+    on a uniform grid, with source 2 excited delay_ps after source 1 and
+    the detuning delta_uev (by default, as in the closed form). The
     grid must span at least 10x the longer lifetime with a step no coarser
     than min(T1, T2)/50, otherwise a ConfigurationError is raised.
     """
-    _check_visibility_inputs(pol_overlap, delta_uev, delay_ps)
+    delta_uev = _visibility_detuning(e1, e2, pol_overlap, delta_uev, delay_ps)
     t1a, t1b = e1.t1_fast_ps, e2.t1_fast_ps
     max_step = min(t1a, t1b, e1.t2_ps, e2.t2_ps) / 50.0
     min_span = 10.0 * max(t1a, t1b)

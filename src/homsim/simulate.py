@@ -9,9 +9,18 @@ gated by the blinking telegraph; the extra photon exists only with it. A
 pulse in which exactly one photon of each source survives to the coupler
 interferes through interfere.coherence_kernel, taken on the two EmitterSpecs
 at CircuitSpec.overlap with the pair's spectral-diffusion offsets as extra
-detuning; every other photon routes classically. The chunks' tags are
-merged with the dark counts, sorted and pruned for dead time, and returned
-as a TimeTagStream of integer picoseconds.
+detuning; every other photon routes classically.
+
+The rest is a pipeline over the pulse blocks in time order, which builds no
+array the size of the run but the returned TimeTagStream. Each worker sorts
+its block's tag keys (2 * time + channel). No tag of block b or later is
+earlier than (b * _CHUNK_PULSES * period - 9 sigma_IRF), since a photon
+starts no earlier than its pulse (source_delay_ps and decay draws are >= 0)
+and the IRF draw moves it by less than 8.6 sigma (_gauss); float rounding and
+rint take less than an ulp of that start plus 0.5 ps. So once block b - 1 is
+in, the keys below that watermark are merged with the dark counts below it
+and released; the rest wait. Dead time prunes each released segment, carrying
+each channel's last kept tag, and the kept segments are concatenated.
 
 Randomness is keyed per block of _CHUNK_PULSES pulses: each (seed, stream,
 block) seeds its own SFC64 generator, whose words are drawn in a fixed order
@@ -36,8 +45,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
@@ -76,7 +87,7 @@ class TimeTagStream:
         if self.times_ps.size != self.channels.size:
             raise ValidationError("times and channels must have equal length")
         if self.times_ps.size:
-            if np.any(np.diff(self.times_ps) < 0):
+            if np.any(self.times_ps[1:] < self.times_ps[:-1]):
                 raise ValidationError("time tags must be sorted ascending")
             if np.any((self.channels != 0) & (self.channels != 1)):
                 raise ValidationError("channels must be 0 or 1")
@@ -118,10 +129,26 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_chunks(fn, items) -> list:
-    """[fn(item) for item in items], on a pool of up to _worker_count() threads."""
-    with ThreadPoolExecutor(max_workers=max(1, min(_worker_count(), len(items)))) as pool:
-        return list(pool.map(fn, items))
+def _map_chunks(fn, items):
+    """Yields fn(item) for each item in order, from a pool of _worker_count()
+    threads that runs at most two items per thread ahead of the consumer.
+
+    A result is kept until two items per thread have followed it: dropped at
+    once, it frees the top of its worker's heap, which glibc hands back to
+    the system each time, and faulting it in again cost run_simulation 10 %
+    more CPU time with two workers on a 2-core x86 machine.
+    """
+    workers = _worker_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead, behind = deque(), deque(maxlen=2 * workers)
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > 2 * workers:
+                behind.append(ahead.popleft())
+                yield behind[-1].result()
+        while ahead:
+            behind.append(ahead.popleft())
+            yield behind[-1].result()
 
 
 def _block_rng(seed: int, stream: int, block: int) -> Generator:
@@ -140,8 +167,10 @@ def _gauss(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(np.pi * (2.0 * u[1] - 1.0))
 
 
-def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int):
-    """Per-pulse on/off gate of the two-state telegraph, or None if static.
+def _blink_words(
+    emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int, block: int
+):
+    """A pulse block's telegraph words, as (on, decided) per pulse.
 
     Pulse 0 is on when u < pi_on; pulse i > 0 is on when u < p_on_on after
     an on pulse and when u < p_off_on after an off one. Since
@@ -149,55 +178,75 @@ def _blink_gate(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_i
     holds in floating point), u splits into three bands: u < p_off_on is on
     whatever came before, u >= p_on_on is off whatever came before, and a
     u in between repeats the previous pulse's state. So every pulse takes
-    the state of the last pulse at or before it whose u is in an outer
-    band, and pulse 0 is always decided. The words are drawn one block at
-    a time, and a block's first pulse takes the carried state when its u
-    is in the middle band.
+    the state of the last decided pulse at or before it: pulse 0, or one
+    whose u is in an outer band. on holds the decided pulses' states.
     """
-    k_on = emitter.blink_on_rate_per_s
-    k_off = emitter.blink_off_rate_per_s
-    if k_on == 0.0 and k_off == 0.0:
-        return None
-    k_tot = k_on + k_off
-    pi_on = k_on / k_tot
+    k_tot = emitter.blink_on_rate_per_s + emitter.blink_off_rate_per_s
+    pi_on = emitter.blink_on_rate_per_s / k_tot
     decay = np.exp(-k_tot * train.period_ps * 1e-12)
     p_on_on = pi_on + (1.0 - pi_on) * decay
     p_off_on = pi_on * (1.0 - decay)
-    n = train.n_pulses
-    gate = np.empty(n, dtype=bool)
-    for p0 in range(0, n, _CHUNK_PULSES):
-        p1 = min(p0 + _CHUNK_PULSES, n)
-        u = _block_rng(seed, _STREAM_BLINK + source_id, p0 // _CHUNK_PULSES).random(p1 - p0)
-        on = u < p_off_on
-        decided = on | (u >= p_on_on)
-        if p0 == 0:
-            on[0] = u[0] < pi_on
-        elif not decided[0]:
-            on[0] = gate[p0 - 1]
+    n = min(_CHUNK_PULSES, train.n_pulses - block * _CHUNK_PULSES)
+    u = _block_rng(seed, _STREAM_BLINK + source_id, block).random(n)
+    on = u < p_off_on
+    decided = on | (u >= p_on_on)
+    if block == 0:
+        on[0] = u[0] < pi_on
         decided[0] = True
-        last = np.where(decided, np.arange(p1 - p0), 0)
-        np.maximum.accumulate(last, out=last)
-        gate[p0:p1] = on[last]
-    return gate
+    return on, decided
+
+
+def _blink_carries(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int):
+    """Per pulse block, the telegraph state carried into it; None if static.
+
+    One pass over the blocks finds each one's last decided state, and a
+    prefix carries it past the blocks with no decided pulse.
+    """
+    if emitter.blink_on_rate_per_s == 0.0 and emitter.blink_off_rate_per_s == 0.0:
+        return None
+
+    def end_state(block: int):
+        on, decided = _blink_words(emitter, train, seed, source_id, block)
+        last = decided.size - 1 - int(np.argmax(decided[::-1]))
+        return bool(on[last]) if decided[last] else None
+
+    states = _map_chunks(end_state, range(-(-train.n_pulses // _CHUNK_PULSES) - 1))
+    return [None, *accumulate(states, lambda carry, state: carry if state is None else state)]
+
+
+def _blink_gate(
+    emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int, block: int, carry
+):
+    """A pulse block's per-pulse on/off gate, from its words and the state
+    carry from _blink_carries, which an undecided first pulse takes."""
+    on, decided = _blink_words(emitter, train, seed, source_id, block)
+    if not decided[0]:
+        on[0] = carry
+        decided[0] = True
+    last = np.where(decided, np.arange(on.size), 0)
+    np.maximum.accumulate(last, out=last)
+    return on[last]
 
 
 def _emission_columns(
-    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int, gate=None
+    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int,
+    carries=None,
 ):
     """One source's photon slots for pulse block `block`: (has, t, f, slow).
 
     has, t and f have shape (2, n): row 0 is the primary photon, row 1 the
     extra slow-branch photon, which a pulse only has when it has a primary;
     t and f are 0 where there is no photon. slow flags the primary photons
-    that took the slow branch.
+    that took the slow branch. carries are the emitter's _blink_carries;
+    None leaves the primary photons ungated.
     """
     p0 = block * _CHUNK_PULSES
     n = min(_CHUNK_PULSES, train.n_pulses - p0)
     rng = _block_rng(seed, source_id, block)
     has = np.zeros((2, n), dtype=bool)
     has[0] = rng.random(n) < emitter.emission_prob
-    if gate is not None:
-        has[0] &= gate[p0 : p0 + n]
+    if carries is not None:
+        has[0] &= _blink_gate(emitter, train, seed, source_id, block, carries[block])
     idx = np.flatnonzero(has[0])
     slow = np.zeros(n, dtype=bool)
     slow[idx] = rng.random(idx.size) < emitter.slow_fraction
@@ -236,7 +285,8 @@ def _route_chunk(
     block: int, e1: EmitterSpec, e2: EmitterSpec, src1, src2,
     circuit: CircuitSpec, det: DetectorSpec, seed: int,
 ):
-    """Route one pulse block through the splitter; returns tag keys + counters.
+    """Route one pulse block through the splitter: its sorted tag keys, and its
+    photons emitted, detected and paired.
 
     src1 and src2 are the _emission_columns of emitters e1 and e2; they stack
     into the four photon slots, 0/1 from source 1 and 2/3 from source 2. A
@@ -292,7 +342,7 @@ def _route_chunk(
         tt = tt + sigma * _gauss(rng.random((2, tt.size)))
     ti = np.rint(tt).astype(np.int64)
     ok = ti >= 0
-    return 2 * ti[ok] + ch[ok], live.size, int(ok.sum()), idx.size
+    return np.sort(2 * ti[ok] + ch[ok]), (live.size, int(ok.sum()), idx.size)
 
 
 def _dark_counts(det: DetectorSpec, span_ps: float, seed: int) -> np.ndarray:
@@ -312,7 +362,7 @@ def _dark_counts(det: DetectorSpec, span_ps: float, seed: int) -> np.ndarray:
     return np.concatenate(keys)
 
 
-def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float):
+def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float, last: list):
     """Mask of the tags a non-paralysable detector records.
 
     Per channel, a tag is kept when it comes at least dead_ps after the
@@ -321,18 +371,27 @@ def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float):
     exactly when t_j - t_i >= ceil(dead_ps). With nxt[i] the first tag at
     or after t_i + ceil(dead_ps), the tag kept after a kept tag i is nxt[i],
     because every tag before it falls inside i's dead time and every tag
-    from it on is clear of it. The first tag is always kept, so the kept
-    tags are exactly the chain 0 -> nxt[0] -> nxt[nxt[0]] -> ..., which
-    pointer doubling marks in about log2(kept) whole-array gathers.
+    from it on is clear of it. So the kept tags are the chain start ->
+    nxt[start] -> ..., which pointer doubling marks in about log2(kept)
+    whole-array gathers; start is the first tag at or after last[ch] +
+    ceil(dead_ps). last[ch] is channel ch's last kept tag before these, or
+    None, and is updated in place, so that a sorted stream can be pruned
+    segment by segment.
     """
-    keep = np.ones(times.size, dtype=bool)
-    if dead_ps <= 0 or times.size == 0:
+    keep = np.full(times.size, dead_ps <= 0)
+    if dead_ps <= 0:
         return keep
     dead = math.ceil(dead_ps)
     for ch in (0, 1):
         idx = np.flatnonzero(channels == ch)
+        if last[ch] is not None:
+            # capped at 2^62, past every tag, so that the bound fits int64
+            idx = idx[np.searchsorted(times[idx], min(last[ch] + dead, 2**62)) :]
         if idx.size:
-            keep[idx] = _dead_time_chain(times[idx], dead)
+            t = times[idx]
+            on = _dead_time_chain(t, dead)
+            keep[idx[on]] = True
+            last[ch] = int(t[on][-1])
     return keep
 
 
@@ -407,28 +466,49 @@ def run_simulation(
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must fit in 64 bits")
     _require_representable(emitter1, emitter2, det, train)
-    gate1 = _blink_gate(emitter1, train, seed, 1)
-    gate2 = _blink_gate(emitter2, train, seed, 2)
+    n_blocks = -(-train.n_pulses // _CHUNK_PULSES)
+    emitters = ((1, emitter1), (2, emitter2))
+    sources = [(i, e, _blink_carries(e, train, seed, i)) for i, e in emitters]
+    dark = np.sort(_dark_counts(det, train.span_ps, seed))
+    counts = np.zeros(3, dtype=np.int64)  # photons emitted, detected and paired
 
     def work(block: int):
-        col1 = _emission_columns(emitter1, train, 1, seed, block, gate1)
-        col2 = _emission_columns(emitter2, train, 2, seed, block, gate2)
+        col1, col2 = (_emission_columns(e, train, i, seed, block, c) for i, e, c in sources)
         return _route_chunk(block, emitter1, emitter2, col1, col2, circuit, det, seed)
 
-    results = _map_chunks(work, range(-(-train.n_pulses // _CHUNK_PULSES)))
-    dark = _dark_counts(det, train.span_ps, seed)
-    # times are below 2^62, so the keys fit int64 and one sort orders the
-    # tags by time, then channel
-    keys = np.sort(np.concatenate([res[0] for res in results] + [dark]))
-    times, chans = keys >> 1, (keys & 1).astype(np.uint8)
-    keep = _prune_dead_time(times, chans, det.dead_time_ps)
-    stream = TimeTagStream(times_ps=times[keep], channels=chans[keep], seed=seed)
+    def segments():
+        """All tag keys in time order, as sorted segments (see the module docstring)."""
+        pending, d0 = dark[:0], 0
+        for b, (keys, block_counts) in enumerate(_map_chunks(work, range(n_blocks)), start=1):
+            counts[:] += block_counts
+            # the watermark in keys; the last block releases every key
+            start = b * _CHUNK_PULSES * train.period_ps
+            wm = math.floor(start) - math.ceil(9.0 * det.irf_sigma_ps + math.ulp(start))
+            cut = 2 * wm if b < n_blocks else np.iinfo(np.int64).max
+            d1 = int(np.searchsorted(dark, cut))
+            # three sorted runs, which the stable sort merges
+            merged = np.sort(np.concatenate((pending, keys, dark[d0:d1])), kind="stable")
+            i = int(np.searchsorted(merged, cut))
+            yield merged[:i]
+            pending, d0 = merged[i:], d1
+        yield dark[d0:]
+
+    last = [None, None]  # each channel's last kept tag
+    times, chans, pruned = [], [], 0
+    for keys in segments():
+        # times are below 2^62, so the keys fit int64 and sort by time, then channel
+        t, c = keys >> 1, (keys & 1).astype(np.uint8)
+        keep = _prune_dead_time(t, c, det.dead_time_ps, last)
+        times.append(t[keep])
+        chans.append(c[keep])
+        pruned += int(keep.size - keep.sum())
+    stream = TimeTagStream(np.concatenate(times), np.concatenate(chans), seed=seed)
     return stream, SimulationCounters(
-        photons_emitted=sum(res[1] for res in results),
-        photons_detected=sum(res[2] for res in results),
+        photons_emitted=int(counts[0]),
+        photons_detected=int(counts[1]),
         dark_counts=int(dark.size),
-        dead_time_pruned=int(keep.size - keep.sum()),
-        pairs_interfered=sum(res[3] for res in results),
+        dead_time_pruned=pruned,
+        pairs_interfered=int(counts[2]),
         tags_written=stream.n_records,
     )
 

@@ -13,7 +13,7 @@ import homsim as hs
 from homsim.simulate import (
     _CHUNK_PULSES,
     _STREAM_BLINK,
-    _blink_gate,
+    _blink_carries,
     _block_rng,
     _emission_columns,
 )
@@ -158,9 +158,9 @@ def emission_columns(emitter, train, source_id, seed):
     drawn only for photons that exist, those with has_a/has_b set; the
     other entries are 0.
     """
-    gate = _blink_gate(emitter, train, seed, source_id)
+    carries = _blink_carries(emitter, train, seed, source_id)
     blocks = [
-        _emission_columns(emitter, train, source_id, seed, b, gate)
+        _emission_columns(emitter, train, source_id, seed, b, carries)
         for b in range(-(-train.n_pulses // _CHUNK_PULSES))
     ]
     has, t, f, slow = (np.concatenate(cols, axis=-1) for cols in zip(*blocks))
@@ -183,7 +183,8 @@ def blink_probabilities(emitter, train):
 def blink_gate_reference(emitter, train, seed, source_id):
     """Sequential telegraph gate: one pulse at a time, carrying the state.
 
-    Reference for simulate._blink_gate; draws the same words, one per pulse
+    Reference for simulate's per-block _blink_gate, run from the state
+    _blink_carries carries into each block; draws the same words, one per pulse
     from simulate's blink stream of the source, block by block.
     """
     if emitter.blink_on_rate_per_s == 0.0 and emitter.blink_off_rate_per_s == 0.0:
@@ -207,7 +208,7 @@ def blink_gate_reference(emitter, train, seed, source_id):
 def prune_dead_time_reference(times, channels, dead_ps):
     """Sequential non-paralysable dead time, tag by tag per channel.
 
-    Reference for simulate._prune_dead_time.
+    Reference for simulate._prune_dead_time, whole or segment by segment.
     """
     if dead_ps <= 0 or times.size == 0:
         return np.ones(times.size, dtype=bool)

@@ -66,6 +66,22 @@ class TestPtg1RoundTrip:
         with pytest.raises(hs.ValidationError):
             formats.write_ptg1(tmp_path / "x.ptg1", _stream([-3, 5], [0, 0]))
 
+    def test_files_of_several_slices_match_the_record_layout(self, tmp_path):
+        # records are written and read a slice at a time; across the slice
+        # boundaries the bytes are those of one whole-file record array
+        n = 2 * formats._SLICE_RECORDS + 3
+        rng = np.random.default_rng(5)
+        s = _stream(np.sort(rng.integers(0, 2**62, n)), rng.integers(0, 2, n))
+        p = tmp_path / "big.ptg1"
+        formats.write_ptg1(p, s)
+        records = np.zeros(n, dtype=[("time", "<u8"), ("channel", "u1"), ("pad", "u1", 7)])
+        records["time"], records["channel"] = s.times_ps, s.channels
+        assert p.read_bytes() == struct.pack("<4sHQQ", b"PTG1", 1, 1, n) + records.tobytes()
+        back = formats.read_ptg1(p)
+        assert back.times_ps.dtype == np.int64 and back.channels.dtype == np.uint8
+        assert np.array_equal(back.times_ps, s.times_ps)
+        assert np.array_equal(back.channels, s.channels)
+
 
 class TestPtg1Malformed:
     def test_bad_magic_reports_offset_zero(self, tmp_path):
@@ -88,6 +104,21 @@ class TestPtg1Malformed:
         # record 2 (0-based) goes backwards -> offset 22 + 2*16 = 54
         p = _raw_file(tmp_path, records=[(100, 0), (200, 1), (150, 0)])
         with pytest.raises(hs.ValidationError, match="byte offset 54"):
+            formats.read_ptg1(p)
+
+    def test_unsorted_record_past_the_first_slice_reports_its_offset(self, tmp_path):
+        n = formats._SLICE_RECORDS + 5
+        records = [(i, 0) for i in range(n)]
+        records[n - 2] = (0, 0)
+        p = _raw_file(tmp_path, records=records)
+        with pytest.raises(hs.ValidationError, match="byte offset %d" % (22 + 16 * (n - 2))):
+            formats.read_ptg1(p)
+
+    def test_time_beyond_the_int64_clock_reports_offset(self, tmp_path):
+        # u64 times of 2^63 and more read as sorted negative int64 times
+        p = _raw_file(tmp_path, records=[(2**63 + 7, 0), (2**63 + 9, 1)])
+        msg = "time 9223372036854775815 of record 0 at byte offset 22 exceeds the int64"
+        with pytest.raises(hs.ValidationError, match=msg):
             formats.read_ptg1(p)
 
     def test_invalid_channel_reports_field_offset(self, tmp_path):

@@ -70,6 +70,16 @@ class TestClosedFormVisibility:
         v = hs.visibility_closed_form(emitter_short_t2(), emitter_long_t2(), 5.0, 1.0)
         assert v == pytest.approx(0.08925922932749987, rel=1e-10)
 
+    @pytest.mark.parametrize("delay", [0.0, 500.0])
+    def test_default_detuning_is_the_emitters_energy_difference(self, delay):
+        # the README pair with emitter 2 moved to 5 ueV
+        e1, e2 = emitter_short_t2(), emitter_long_t2(energy_uev=5.0)
+        for route in (hs.visibility_closed_form, hs.visibility_numeric):
+            v = route(e1, e2, delay_ps=delay)
+            assert v == route(e1, e2, delta_uev=-5.0, delay_ps=delay)
+            assert v < route(e1, e2, delta_uev=0.0, delay_ps=delay) - 0.01
+        assert hs.visibility_closed_form(e1, e2) == pytest.approx(0.08925922932749987, rel=1e-10)
+
     def test_reference_point_partial_polarization(self):
         v = hs.visibility_closed_form(emitter_short_t2(), emitter_long_t2(), 0.0, 0.95)
         assert v == pytest.approx(0.11729897328465283, rel=1e-10)

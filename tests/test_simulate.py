@@ -1,6 +1,7 @@
 """Monte Carlo engine: emission, routing, detection, determinism."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -364,9 +365,25 @@ class TestDeadTimeMatchesSequentialRule:
     @example((np.array([10, 20, 30]), np.array([1, 0, 1], np.uint8), 100.0))
     def test_equals_reference(self, case):
         times, channels, dead_ps = case
-        got = simulate._prune_dead_time(times, channels, dead_ps)
+        got = simulate._prune_dead_time(times, channels, dead_ps, [None, None])
         assert got.dtype == bool
         assert np.array_equal(got, prune_dead_time_reference(times, channels, dead_ps))
+
+    @given(_dead_time_cases(), st.lists(st.integers(0, 200), max_size=6))
+    @example((np.array([0, 4, 6, 9, 12]), np.zeros(5, np.uint8), 5.0), [1, 2, 2, 4])
+    @example((np.array([10, 20, 30]), np.array([1, 0, 1], np.uint8), 1e12), [1])
+    def test_segment_by_segment_equals_reference(self, case, cuts):
+        # each segment starts from the last kept tag of every channel
+        times, channels, dead_ps = case
+        bounds = [0, *sorted(min(c, times.size) for c in cuts), times.size]
+        last = [None, None]
+        got = [
+            simulate._prune_dead_time(times[a:b], channels[a:b], dead_ps, last)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        assert np.array_equal(
+            np.concatenate(got), prune_dead_time_reference(times, channels, dead_ps)
+        )
 
 
 class TestBlinkGateMatchesSequentialRule:
@@ -386,8 +403,113 @@ class TestBlinkGateMatchesSequentialRule:
         _, p_on_on, p_off_on = blink_probabilities(e, train)
         assert p_off_on <= p_on_on
         for stream_id in (1, 2):
-            got = simulate._blink_gate(e, train, 31, stream_id)
+            carries = simulate._blink_carries(e, train, 31, stream_id)
+            got = np.concatenate([
+                simulate._blink_gate(e, train, 31, stream_id, b, carry)
+                for b, carry in enumerate(carries)
+            ])
             assert np.array_equal(got, blink_gate_reference(e, train, 31, stream_id))
+
+
+class TestBlockPipeline:
+    """The tail of run_simulation: blocks sorted apart, stitched in time order."""
+
+    @staticmethod
+    def _block_keys(e1, e2, circuit, det, train, seed):
+        """Each pulse block's tag keys, as its worker makes them (no blinking)."""
+        return [
+            simulate._route_chunk(
+                b, e1, e2, simulate._emission_columns(e1, train, 1, seed, b),
+                simulate._emission_columns(e2, train, 2, seed, b), circuit, det, seed,
+            )[0]
+            for b in range(-(-train.n_pulses // simulate._CHUNK_PULSES))
+        ]
+
+    def test_tags_spilling_over_blocks_equal_one_global_sort(self, monkeypatch):
+        # 100 ps pulses: a block spans 6.6 us and the IRF sigma is 4 us
+        e1, e2 = emitter_short_t2(emission_prob=0.1), emitter_long_t2(emission_prob=0.1)
+        det = hs.DetectorSpec(irf_fwhm_ps=9.4e6, dark_rate_cps=1e8, efficiency=0.5)
+        train = _train(6 * simulate._CHUNK_PULSES + 17, rep=1e4)
+        args = (e1, e2, reference_circuit(), det, train)
+        blocks = self._block_keys(*args, 9)
+        span = simulate._CHUNK_PULSES * train.period_ps
+        spill = [int((k[-1] >> 1) // span) - b for b, k in enumerate(blocks) if k.size]
+        assert max(spill) >= 2
+        keys = np.sort(np.concatenate(blocks + [simulate._dark_counts(det, train.span_ps, 9)]))
+        for workers in ("1", "2", "5"):
+            monkeypatch.setenv("HOMSIM_THREADS", workers)
+            stream, c = hs.run_simulation(*args, seed=9)
+            assert np.array_equal(stream.times_ps, keys >> 1)
+            assert np.array_equal(stream.channels, keys & 1)
+            assert c.tags_written == keys.size and c.dark_counts > 1000
+
+    @pytest.mark.parametrize("dead_ps", [20000.0, 12345.5, 1.5e9])
+    def test_dead_time_carries_across_blocks(self, monkeypatch, dead_ps):
+        # 1.5e9 ps outlasts a whole block (862 us), so every kept tag's dead
+        # time runs into a later block
+        det = dict(irf_fwhm_ps=80.0, dark_rate_cps=1e5, efficiency=0.5)
+        train = _train(3 * simulate._CHUNK_PULSES + 17)
+        args = (emitter_short_t2(), emitter_long_t2(), reference_circuit())
+        free, _ = hs.run_simulation(*args, hs.DetectorSpec(**det), train, seed=13)
+        keep = prune_dead_time_reference(free.times_ps, free.channels, dead_ps)
+        assert (~keep).sum() > 100
+        for workers in ("1", "2", "5"):
+            monkeypatch.setenv("HOMSIM_THREADS", workers)
+            stream, c = hs.run_simulation(
+                *args, hs.DetectorSpec(**det, dead_time_ps=dead_ps), train, seed=13
+            )
+            assert np.array_equal(stream.times_ps, free.times_ps[keep])
+            assert np.array_equal(stream.channels, free.channels[keep])
+            assert c.dead_time_pruned == (~keep).sum()
+
+    def test_blocks_with_no_decided_pulse_carry_the_state_on(self):
+        # at 2 and 1 switches per second almost no pulse is decided: at this
+        # seed pulse 0 is on and blocks 1 to 4 carry its state
+        e = make_emitter(blink_on_rate_per_s=2.0, blink_off_rate_per_s=1.0)
+        train = _train(5 * simulate._CHUNK_PULSES)
+        for b in range(1, 5):
+            assert not simulate._blink_words(e, train, 4, 1, b)[1].any()
+        carries = simulate._blink_carries(e, train, 4, 1)
+        assert carries[1:] == [True] * 4
+        got = np.concatenate(
+            [simulate._blink_gate(e, train, 4, 1, b, carry) for b, carry in enumerate(carries)]
+        )
+        assert np.array_equal(got, blink_gate_reference(e, train, 4, 1))
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_map_chunks_runs_at_most_two_items_per_worker_ahead(self, monkeypatch, workers):
+        monkeypatch.setenv("HOMSIM_THREADS", workers)
+        pulled = []
+
+        def items():
+            for i in range(40):
+                pulled.append(i)
+                yield i
+
+        for k, r in enumerate(simulate._map_chunks(lambda i: i * i, items())):
+            assert r == k * k
+            assert len(pulled) <= k + 1 + 2 * int(workers)
+        assert len(pulled) == 40
+
+    def test_traced_peak_grows_by_at_most_24_bytes_per_tag(self, monkeypatch):
+        # the README pair at efficiency 1 gives about one tag per pulse;
+        # the returned stream takes 9 bytes per tag
+        monkeypatch.setenv("HOMSIM_THREADS", "2")
+        det = hs.DetectorSpec(irf_fwhm_ps=80.0, dark_rate_cps=300.0, efficiency=1.0)
+        peaks, tags = [], []
+        for n in (1_000_000, 3_000_000):
+            tracemalloc.start()
+            try:
+                stream, _ = hs.run_simulation(
+                    emitter_short_t2(), emitter_long_t2(), reference_circuit(), det,
+                    _train(n), seed=3,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            tags.append(stream.n_records)
+            del stream
+        assert (peaks[1] - peaks[0]) / (tags[1] - tags[0]) <= 24.0
 
 
 class TestBlockDraws:
