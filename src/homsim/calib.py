@@ -33,8 +33,8 @@ class SplitterMeasurement:
 
     def __post_init__(self) -> None:
         for name in ("i11", "i12", "i21", "i22"):
-            if not getattr(self, name) > 0:
-                raise ValidationError("%s must be strictly positive" % name)
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValidationError("%s must be strictly positive and finite" % name)
 
     @classmethod
     def from_drive_pairs(cls, bar1: float, cross1: float, bar2: float, cross2: float):
@@ -44,6 +44,13 @@ class SplitterMeasurement:
         Drive 2: bar2 = output 2, cross2 = output 1.
         """
         return cls(i11=bar1, i12=cross1, i21=cross2, i22=bar2)
+
+
+def _finite(name: str, values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("%s must be finite" % name)
+    return v
 
 
 def splitting_ratio(m: SplitterMeasurement) -> tuple[float, float]:
@@ -78,7 +85,7 @@ def fringe_visibility(
     extrema are both 0, returns 0 with a warning.
     Returns (V, V_err).
     """
-    y = np.asarray(intensity, dtype=float)
+    y = _finite("intensities", intensity)
     if y.size < 2:
         raise ValidationError("need at least two intensity samples")
     if np.any(y < 0):
@@ -125,8 +132,8 @@ def dolp(
     rho = (I_max - I_min)/(I_max + I_min) of the curve. raw=True skips the
     fit and uses the sample extrema. Returns (dolp, error).
     """
-    th = np.asarray(angles_deg, dtype=float)
-    y = np.asarray(intensity, dtype=float)
+    th = _finite("angles", angles_deg)
+    y = _finite("intensities", intensity)
     if th.size != y.size:
         raise ValidationError("angle and intensity arrays must match")
     if th.size < 8:
@@ -163,8 +170,8 @@ def fit_loss(
     Ordinary least squares of 10*log10(I) against distance; returns the
     slope magnitude and its standard error.
     """
-    x = np.asarray(distance_mm, dtype=float)
-    y = np.asarray(intensity, dtype=float)
+    x = _finite("distances", distance_mm)
+    y = _finite("intensities", intensity)
     if x.size != y.size:
         raise ValidationError("distance and intensity arrays must match")
     if x.size < 3:

@@ -137,12 +137,10 @@ def _cmd_simulate(args) -> None:
         )
 
 
-def _peak_spans(analysis, period_ps, offset_ps):
-    return [
-        (k * period_ps + offset_ps - analysis.delta_t_ps / 2.0,
-         k * period_ps + offset_ps + analysis.delta_t_ps / 2.0)
-        for k in correlate._k_range(analysis.n_side).tolist()
-    ]
+def _peak_spans(peaks):
+    half = peaks.delta_t_ps / 2.0
+    centers = [k * peaks.period_ps + peaks.delay_ps for k in peaks.k_values.tolist()]
+    return [(c - half, c + half) for c in centers]
 
 
 def _cmd_analyze_hom(args) -> None:
@@ -168,15 +166,16 @@ def _cmd_analyze_hom(args) -> None:
     )
     headline = corrected if ana.background_correction else raw
     # the eleven-peak table, or the configured comb where ten side peaks do not fit
-    reach = 5 * period + abs(args.comb_offset_ps) + ana.delta_t_ps / 2.0
-    n_table = 10 if reach <= hist.window_ps else ana.n_side
-    table_raw = correlate.integrate_peaks(
-        hist, period, ana.delta_t_ps, n_side=n_table, delay_ps=args.comb_offset_ps
-    )
-    table_corr = correlate.integrate_peaks(
-        hist, period, ana.delta_t_ps, n_side=n_table, floor=floor, corrected=True,
-        delay_ps=args.comb_offset_ps,
-    )
+    try:
+        table_raw = correlate.integrate_peaks(
+            hist, period, ana.delta_t_ps, n_side=10, delay_ps=args.comb_offset_ps
+        )
+        table_corr = correlate.integrate_peaks(
+            hist, period, ana.delta_t_ps, n_side=10, floor=floor, corrected=True,
+            delay_ps=args.comb_offset_ps,
+        )
+    except ConfigurationError:
+        table_raw, table_corr = raw, corrected
     table = table_corr if ana.background_correction else table_raw
     narrow = correlate.integrate_peaks(
         hist,
@@ -194,9 +193,7 @@ def _cmd_analyze_hom(args) -> None:
     hist_csv = args.out_prefix + "_hist.csv"
     write_histogram_csv(hist_csv, hist)
     svg_path = args.out_prefix + "_hist.svg"
-    histogram_svg(
-        svg_path, hist, peak_spans=_peak_spans(ana, period, args.comb_offset_ps)
-    )
+    histogram_svg(svg_path, hist, peak_spans=_peak_spans(headline))
     peaks_csv = args.out_prefix + "_peaks.csv"
     with open(peaks_csv, "w") as fh:
         fh.write("# period_ps=%g\n# delta_t_ps=%g\n" % (period, ana.delta_t_ps))

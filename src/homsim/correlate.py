@@ -29,7 +29,6 @@ class CorrelationHistogram:
     bin_width_ps: float
     window_ps: float
     counts: np.ndarray
-    total_pairs: int
 
     def __post_init__(self) -> None:
         n = self.counts.size
@@ -46,6 +45,10 @@ class CorrelationHistogram:
     @property
     def n_bins(self) -> int:
         return int(self.counts.size)
+
+    @property
+    def total_pairs(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def bin_edges_ps(self) -> np.ndarray:
@@ -80,6 +83,8 @@ def cross_correlate(
     as a sorted sweep, chunked over channel-0 tags (partial histograms sum,
     so the result is identical for any chunking or worker count).
     """
+    if not (np.isfinite(bin_width_ps) and np.isfinite(window_ps)):
+        raise ValidationError("bin_width_ps and window_ps must be finite")
     if bin_width_ps < 1.0:
         raise ValidationError("bin_width_ps must be >= 1 ps")
     n_bins = int(round(2.0 * window_ps / bin_width_ps))
@@ -109,19 +114,18 @@ def cross_correlate(
         bin_width_ps=float(bin_width_ps),
         window_ps=float(window_ps),
         counts=counts,
-        total_pairs=int(counts.sum()),
     )
+
+
+def _check_comb(hist, period_ps, delay_ps) -> None:
+    if not 0 < period_ps < np.inf:
+        raise ValidationError("period_ps must be positive and finite")
+    if not abs(delay_ps) <= hist.window_ps:
+        raise ValidationError("delay_ps must be finite and within +-%g ps" % hist.window_ps)
 
 
 def _peak_centers(period_ps, delay_ps, k_values):
     return delay_ps + period_ps * np.asarray(k_values, dtype=float)
-
-
-def _k_range(n_side: int) -> np.ndarray:
-    if n_side < 2 or n_side % 2 != 0:
-        raise ConfigurationError("n_side must be a positive even count of side peaks")
-    half = n_side // 2
-    return np.arange(-half, half + 1)
 
 
 def estimate_background(
@@ -149,8 +153,7 @@ def estimate_background(
     dead zones too short to tell the floor from the tails raise an
     EstimationError.
     """
-    if period_ps <= 0:
-        raise ValidationError("period_ps must be positive")
+    _check_comb(hist, period_ps, delay_ps)
     if hist.window_ps < 1.5 * period_ps:
         raise ConfigurationError(
             "background estimation needs the window to cover >= 3 periods"
@@ -230,15 +233,6 @@ class PeakAnalysis:
     floor_per_bin: float
     g2_zero: float
     g2_zero_err: float
-    corrected: bool
-
-    @property
-    def central_area(self) -> float:
-        return float(self.areas[self.k_values == 0][0])
-
-    @property
-    def side_areas(self) -> np.ndarray:
-        return self.areas[self.k_values != 0]
 
 
 def integrate_peaks(
@@ -258,6 +252,7 @@ def integrate_peaks(
     areas; the ratio error propagates the side-area standard deviation of
     the mean together with the central Poisson error.
     """
+    _check_comb(hist, period_ps, delay_ps)
     if delta_t_ps <= 0:
         raise ValidationError("delta_t_ps must be positive")
     if delta_t_ps > period_ps:
@@ -265,7 +260,9 @@ def integrate_peaks(
             "integration window %g ps exceeds the period %g ps (peaks overlap)"
             % (delta_t_ps, period_ps)
         )
-    ks = _k_range(n_side)
+    if n_side < 2 or n_side % 2 != 0:
+        raise ConfigurationError("n_side must be a positive even count of side peaks")
+    ks = np.arange(-(n_side // 2), n_side // 2 + 1)
     outermost = np.max(np.abs(ks)) * period_ps + abs(delay_ps) + delta_t_ps / 2.0
     if outermost > hist.window_ps:
         raise ConfigurationError(
@@ -302,7 +299,6 @@ def integrate_peaks(
         floor_per_bin=float(floor if corrected else 0.0),
         g2_zero=float(g2),
         g2_zero_err=float(g2_err),
-        corrected=bool(corrected),
     )
 
 
@@ -351,9 +347,9 @@ class Timetrace:
 def timetrace(
     stream: TimeTagStream, train, bin_width_ps: float = 20.0, channel: int | None = None
 ) -> Timetrace:
-    """Fold tag times modulo the pulse period into a decay histogram."""
-    if bin_width_ps <= 0:
-        raise ValidationError("bin_width_ps must be positive")
+    """Fold tag times modulo the pulse period into bins of >= 1 ps (tags are integer ps)."""
+    if not 1.0 <= bin_width_ps < np.inf:
+        raise ValidationError("bin_width_ps must be finite and >= 1 ps")
     times = stream.times_ps
     if channel is not None:
         times = times[stream.channels == channel]

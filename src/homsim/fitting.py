@@ -95,8 +95,7 @@ def nlls_solve(
     y = np.asarray(y, dtype=float)
     p = np.array(p0, dtype=float)
     n_par = p.size
-    if y.size <= n_par:
-        raise ValidationError("need more data points than parameters")
+    _require_points(y, n_par)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
         raise ValidationError("data and initial parameters must be finite")
     if sigma is None:
@@ -147,6 +146,12 @@ def nlls_solve(
     )
 
 
+def _require_points(y: np.ndarray, n_par: int) -> None:
+    """The solver's size rule, also checked before a fit's initial guess."""
+    if y.size <= n_par:
+        raise ValidationError("need more data points than parameters")
+
+
 def exp_conv_gauss(u, tau: float, sigma: float):
     """Exact one-sided exponential decay convolved with a unit-area Gaussian.
 
@@ -178,8 +183,6 @@ def exp_conv_gauss(u, tau: float, sigma: float):
 
 def _biexp_model(t, p, sigma_irf):
     amp, t0, tau_f, tau_s, f_slow, base = p
-    if tau_f <= 0 or tau_s <= 0:
-        return np.full_like(np.asarray(t, dtype=float), np.nan)
     u = np.asarray(t, dtype=float) - t0
     return base + amp * (
         (1.0 - f_slow) * exp_conv_gauss(u, tau_f, sigma_irf)
@@ -192,21 +195,21 @@ def fit_biexp_irf(
     counts: np.ndarray,
     irf_fwhm_ps: float,
     init=None,
-    sigma=None,
 ) -> FitResult:
     """Fit a bi-exponential decay convolved with the Gaussian timing response.
 
     Model: baseline + amp * [(1-f_slow) exp(-(t-t0)/tau_fast)
                              + f_slow exp(-(t-t0)/tau_slow)] (x) IRF.
-    Counts are weighted by sqrt(max(y, 1)) unless sigma is given. The
-    returned parameters satisfy tau_fast < tau_slow (swapped into canonical
-    order if the solver exits mirrored).
+    Each count y is weighted by its Poisson error sqrt(max(y, 1)); an
+    empty bin counts as one. init overrides the automatic initial guess.
+    The returned parameters satisfy tau_fast < tau_slow (swapped into
+    canonical order if the solver exits mirrored).
     """
     t = np.asarray(t_ps, dtype=float)
     y = np.asarray(counts, dtype=float)
     sigma_irf = irf_fwhm_ps / FWHM_TO_SIGMA
-    if sigma is None:
-        sigma = np.sqrt(np.maximum(y, 1.0))
+    names = ("amp", "t0", "tau_fast", "tau_slow", "frac_slow", "baseline")
+    _require_points(y, len(names))
     if init is None:
         base0 = float(max(np.min(y), 0.0))
         i_max = int(np.argmax(y))
@@ -219,7 +222,6 @@ def fit_biexp_irf(
         tau0 = float(t[i_max + below[0]] - t00) if below.size else (t[-1] - t00) / 3.0
         tau0 = max(tau0, 2.0 * (t[1] - t[0]))
         init = (amp0, t00, tau0, 10.0 * tau0, 0.05, base0)
-    names = ("amp", "t0", "tau_fast", "tau_slow", "frac_slow", "baseline")
     bounds = [
         (0.0, np.inf),
         (t[0] - (t[-1] - t[0]), t[-1]),
@@ -233,7 +235,7 @@ def fit_biexp_irf(
         t,
         y,
         init,
-        sigma=sigma,
+        sigma=np.sqrt(np.maximum(y, 1.0)),
         bounds=bounds,
         param_names=names,
     )
@@ -252,77 +254,56 @@ def fit_biexp_irf(
 
 def _g2cw_model(tau, p, sigma_irf):
     g0, tau_d = p
-    if tau_d <= 0:
-        return np.full_like(np.asarray(tau, dtype=float), np.nan)
     tau = np.asarray(tau, dtype=float)
     dip = exp_conv_gauss(tau, tau_d, sigma_irf) + exp_conv_gauss(-tau, tau_d, sigma_irf)
     return 1.0 - (1.0 - g0) * dip
 
 
-def fit_g2cw(
-    tau_ps: np.ndarray,
-    g2: np.ndarray,
-    irf_fwhm_ps: float,
-    init=None,
-    sigma=None,
-) -> FitResult:
+def fit_g2cw(tau_ps: np.ndarray, g2: np.ndarray, irf_fwhm_ps: float) -> FitResult:
     """Fit the continuous-wave antibunching dip.
 
     Model: g(tau) = 1 - (1 - g0) * exp(-|tau|/tau_d), convolved with the
     Gaussian timing response. Data are assumed normalized to 1 far from
-    zero delay.
+    zero delay. The fit is unweighted.
     """
     tau = np.asarray(tau_ps, dtype=float)
     y = np.asarray(g2, dtype=float)
     sigma_irf = irf_fwhm_ps / FWHM_TO_SIGMA
-    if init is None:
-        g0_0 = float(np.clip(np.min(y), 0.0, 1.0))
-        span = float(tau[-1] - tau[0])
-        init = (g0_0, max(span / 20.0, 1.0))
-    res = nlls_solve(
+    g0_0 = float(np.clip(np.min(y), 0.0, 1.0))
+    span = float(tau[-1] - tau[0])
+    return nlls_solve(
         lambda tt, p: _g2cw_model(tt, p, sigma_irf),
         tau,
         y,
-        init,
-        sigma=sigma,
+        (g0_0, max(span / 20.0, 1.0)),
         bounds=[(0.0, 2.0), (1e-6, np.inf)],
         param_names=("g0", "tau_d"),
     )
-    return res
 
 
 def _lorentzian_model(e, p):
     area, e0, fwhm, base = p
-    if fwhm <= 0:
-        return np.full_like(np.asarray(e, dtype=float), np.nan)
     e = np.asarray(e, dtype=float)
     return base + (2.0 * area / np.pi) * fwhm / (4.0 * (e - e0) ** 2 + fwhm**2)
 
 
-def fit_lorentzian(
-    energy_uev: np.ndarray,
-    y: np.ndarray,
-    init=None,
-    sigma=None,
-) -> FitResult:
-    """Fit a Lorentzian line: baseline + (2A/pi) * w / (4(E-E0)^2 + w^2)."""
+def fit_lorentzian(energy_uev: np.ndarray, y: np.ndarray) -> FitResult:
+    """Unweighted fit of a Lorentzian line: baseline + (2A/pi) * w / (4(E-E0)^2 + w^2)."""
     e = np.asarray(energy_uev, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if init is None:
-        base0 = float(np.min(yv))
-        i_max = int(np.argmax(yv))
-        height = float(yv[i_max] - base0)
-        half = base0 + height / 2.0
-        above = np.flatnonzero(yv >= half)
-        fwhm0 = float(e[above[-1]] - e[above[0]]) if above.size > 1 else float(e[1] - e[0])
-        fwhm0 = max(fwhm0, float(np.min(np.diff(e))))
-        init = (height * np.pi * fwhm0 / 2.0, float(e[i_max]), fwhm0, base0)
+    _require_points(yv, 4)
+    base0 = float(np.min(yv))
+    i_max = int(np.argmax(yv))
+    height = float(yv[i_max] - base0)
+    half = base0 + height / 2.0
+    above = np.flatnonzero(yv >= half)
+    fwhm0 = float(e[above[-1]] - e[above[0]]) if above.size > 1 else float(e[1] - e[0])
+    fwhm0 = max(fwhm0, float(np.min(np.diff(e))))
     return nlls_solve(
         _lorentzian_model,
         e,
         yv,
-        init,
-        sigma=sigma,
+        (height * np.pi * fwhm0 / 2.0, float(e[i_max]), fwhm0, base0),
         bounds=[(0.0, np.inf), (e[0], e[-1]), (1e-9, np.inf), (-np.inf, np.inf)],
         param_names=("area", "center", "fwhm", "baseline"),
     )

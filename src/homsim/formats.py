@@ -30,11 +30,11 @@ _SLICE_RECORDS = 1 << 16  # records written or read per slice
 
 
 def write_ptg1(path, stream: TimeTagStream) -> None:
-    """Write a tag stream, one record slice at a time; times must be sorted
-    non-negative integer picoseconds."""
+    """Write a tag stream, one record slice at a time; times must be
+    non-negative integer picoseconds (the stream holds them sorted)."""
     times, channels = stream.times_ps, stream.channels
-    if times.size and (times[0] < 0 or np.any(times[1:] < times[:-1])):
-        raise ValidationError("tag times must be sorted and non-negative")
+    if times.size and times[0] < 0:
+        raise ValidationError("tag times must be non-negative")
     # the reserved bytes stay zero: only time and channel are refilled
     records = np.zeros(min(times.size, _SLICE_RECORDS), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
@@ -126,7 +126,6 @@ def read_histogram_csv(path) -> CorrelationHistogram:
         bin_width_ps=float(meta["bin_width_ps"]),
         window_ps=float(meta["window_ps"]),
         counts=data[:, 1].astype(np.int64),
-        total_pairs=int(data[:, 1].sum()),
     )
 
 
@@ -181,20 +180,17 @@ def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_report(path, payload: dict) -> None:
+    """Write payload as indented JSON with sorted keys.
+
+    numpy arrays and scalars are written as the equal Python lists and
+    numbers; any other object json cannot write raises TypeError.
+    """
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_numpy_to_python)
         fh.write("\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+def _numpy_to_python(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)

@@ -19,13 +19,7 @@ import warnings
 
 import numpy as np
 
-from .model import (
-    CircuitSpec,
-    ConfigurationError,
-    EmitterSpec,
-    ValidationError,
-    detuning_to_angular,
-)
+from .model import CircuitSpec, EmitterSpec, ValidationError, detuning_to_angular
 
 
 def coherence_kernel(
@@ -141,8 +135,6 @@ def visibility_numeric(
     e2: EmitterSpec,
     delta_uev: float | None = None,
     pol_overlap: float = 1.0,
-    span_ps: float | None = None,
-    step_ps: float | None = None,
     delay_ps: float = 0.0,
 ) -> float:
     """Visibility by direct 2-D quadrature over the emission-time densities.
@@ -150,27 +142,14 @@ def visibility_numeric(
     Independent numerical route used to cross-check the closed form:
     V = pol * sum_ij P1(t_i) P2(t_j) D(t_i - t_j - delay) / (sum P1 * sum P2)
     on a uniform grid, with source 2 excited delay_ps after source 1 and
-    the detuning delta_uev (by default, as in the closed form). The
-    grid must span at least 10x the longer lifetime with a step no coarser
-    than min(T1, T2)/50, otherwise a ConfigurationError is raised.
+    the detuning delta_uev (by default, as in the closed form). The grid
+    is fixed: it spans 10x the longer lifetime T1 from emission, with a
+    step of min(T1, T2)/50 over both emitters.
     """
     delta_uev = _visibility_detuning(e1, e2, pol_overlap, delta_uev, delay_ps)
     t1a, t1b = e1.t1_fast_ps, e2.t1_fast_ps
-    max_step = min(t1a, t1b, e1.t2_ps, e2.t2_ps) / 50.0
-    min_span = 10.0 * max(t1a, t1b)
-    if span_ps is None:
-        span_ps = min_span
-    if step_ps is None:
-        step_ps = max_step
-    if step_ps > max_step:
-        raise ConfigurationError(
-            "quadrature grid too coarse: step %.4g ps exceeds %.4g ps" % (step_ps, max_step)
-        )
-    if span_ps < min_span:
-        raise ConfigurationError(
-            "quadrature grid too short: span %.4g ps is below %.4g ps" % (span_ps, min_span)
-        )
-    n = int(np.ceil(span_ps / step_ps))
+    step_ps = min(t1a, t1b, e1.t2_ps, e2.t2_ps) / 50.0
+    n = int(np.ceil(10.0 * max(t1a, t1b) / step_ps))
     t = np.arange(n) * step_ps
     p1 = np.exp(-t / t1a)
     p2 = np.exp(-t / t1b)
@@ -220,7 +199,6 @@ def predicted_hom_dip(tau_grid_ps, e1: EmitterSpec, e2: EmitterSpec, circuit: Ci
     peak integrates to 1.
     """
     tau = np.asarray(tau_grid_ps, dtype=float)
-    r = circuit.reflectance
-    t = 1.0 - r
+    r, t = circuit.reflectance, circuit.transmittance
     w = envelope_cross_correlation(tau, e1, e2)
     return w * 0.5 * (1.0 - 4.0 * r * t * coherence_kernel(tau, e1, e2, circuit.overlap))

@@ -19,10 +19,11 @@ _MARGIN_T = 40
 _MARGIN_B = 50
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
+def _ticks(lo: float, hi: float) -> np.ndarray:
+    """Round-valued ticks, about six of them, from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -40,9 +41,9 @@ def line_chart_svg(
     path,
     x,
     y,
-    x_label: str = "",
-    y_label: str = "",
-    title: str = "",
+    x_label: str,
+    y_label: str,
+    title: str,
     shaded_spans=None,
 ) -> None:
     """Write a line chart of y versus x with optional shaded x-intervals."""
@@ -104,28 +105,21 @@ def line_chart_svg(
     parts.append(
         '<polyline points="%s" fill="none" stroke="#1f4e8c" stroke-width="1"/>' % pts
     )
-    if title:
-        parts.append(
-            '<text x="%d" y="24" font-size="15" text-anchor="middle">%s</text>'
-            % (_WIDTH // 2, title)
-        )
-    if x_label:
-        parts.append(
-            '<text x="%d" y="%d" font-size="13" text-anchor="middle">%s</text>'
-            % (_MARGIN_L + plot_w // 2, _HEIGHT - 12, x_label)
-        )
-    if y_label:
-        parts.append(
-            '<text x="16" y="%d" font-size="13" text-anchor="middle" '
-            'transform="rotate(-90 16 %d)">%s</text>'
-            % (_MARGIN_T + plot_h // 2, _MARGIN_T + plot_h // 2, y_label)
-        )
-    parts.append("</svg>")
+    parts += [
+        '<text x="%d" y="24" font-size="15" text-anchor="middle">%s</text>'
+        % (_WIDTH // 2, title),
+        '<text x="%d" y="%d" font-size="13" text-anchor="middle">%s</text>'
+        % (_MARGIN_L + plot_w // 2, _HEIGHT - 12, x_label),
+        '<text x="16" y="%d" font-size="13" text-anchor="middle" '
+        'transform="rotate(-90 16 %d)">%s</text>'
+        % (_MARGIN_T + plot_h // 2, _MARGIN_T + plot_h // 2, y_label),
+        "</svg>",
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
 
 
-def histogram_svg(path, hist, peak_spans=None, title: str = "Correlation histogram"):
+def histogram_svg(path, hist, peak_spans=None):
     """Chart a correlation histogram with its peak windows shaded."""
     line_chart_svg(
         path,
@@ -133,17 +127,17 @@ def histogram_svg(path, hist, peak_spans=None, title: str = "Correlation histogr
         hist.counts,
         x_label="delay (ps)",
         y_label="coincidences per bin",
-        title=title,
+        title="Correlation histogram",
         shaded_spans=peak_spans,
     )
 
 
-def timetrace_svg(path, trace, title: str = "Time-resolved trace"):
+def timetrace_svg(path, trace):
     line_chart_svg(
         path,
         trace.bin_centers_ps,
         trace.counts,
         x_label="time in pulse period (ps)",
         y_label="counts per bin",
-        title=title,
+        title="Time-resolved trace",
     )

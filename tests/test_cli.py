@@ -399,6 +399,78 @@ class TestFitCommands:
         assert "numerical failure" in err
 
 
+_FRINGE_X = np.arange(20.0)
+_LOSS_X = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+_ANGLES = np.arange(0.0, 360.0, 20.0)
+
+
+def _with(values, i, bad):
+    out = np.array(values, dtype=float)
+    out[i] = bad
+    return out
+
+
+# (arguments, two-column data or None, analysis block or None); "{tags}",
+# "{config}", "{data}" and "{tmp}" are filled in by the test
+_NON_FINITE_CASES = {
+    "correlate-bin-nan": (["correlate", "--tags", "{tags}", "--bin-width-ps", "nan",
+                           "--out", "{tmp}/c.csv"], None, None),
+    "correlate-window-nan": (["correlate", "--tags", "{tags}", "--window-ps", "nan",
+                              "--out", "{tmp}/c.csv"], None, None),
+    "correlate-window-inf": (["correlate", "--tags", "{tags}", "--window-ps", "inf",
+                              "--out", "{tmp}/c.csv"], None, None),
+    **{
+        "timetrace-bin-" + v: (["timetrace", "--tags", "{tags}", "--rep-rate-mhz", "76",
+                                "--bin-width-ps", v, "--out", "{tmp}/t.csv"], None, None)
+        for v in ("nan", "inf", "1e-300")
+    },
+    **{
+        "analyze-offset-" + v: (["analyze-hom", "--tags", "{tags}", "--config", "{config}",
+                                 "--out-prefix", "{tmp}/a", "--comb-offset-ps", v],
+                                None, None)
+        for v in ("nan", "inf", "1e300")
+    },
+    "analyze-config-bin-nan": (["analyze-hom", "--tags", "{tags}", "--config", "{config}",
+                                "--out-prefix", "{tmp}/a"], None, {"bin_width_ps": np.nan}),
+    "analyze-config-window-inf": (["analyze-hom", "--tags", "{tags}", "--config", "{config}",
+                                   "--out-prefix", "{tmp}/a"], None, {"window_ps": np.inf}),
+    "fit-decay-one-row": (["fit-decay", "--data", "{data}", "--irf-fwhm-ps", "80"],
+                          ([1.0], [2.0]), None),
+    "fit-lorentzian-one-row": (["fit-lorentzian", "--data", "{data}"], ([1.0], [2.0]), None),
+    "calib-splitter-inf": (["calib-splitter", "inf", "1", "1", "1"], None, None),
+    **{
+        "calib-fringe-" + str(bad): (["calib-fringe", "--data", "{data}"],
+                                     (_FRINGE_X, _with(1 + np.cos(_FRINGE_X / 3), 4, bad)),
+                                     None)
+        for bad in (np.nan, np.inf)
+    },
+    **{
+        "calib-loss-" + str(bad): (["calib-loss", "--data", "{data}"],
+                                   (_LOSS_X, _with(np.exp(-_LOSS_X / 4), 2, bad)), None)
+        for bad in (np.nan, np.inf)
+    },
+    "calib-dolp-raw-nan": (["calib-dolp", "--data", "{data}", "--raw"],
+                           (_ANGLES, _with(2 + np.cos(np.radians(2 * _ANGLES)), 3, np.nan)),
+                           None),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_CASES))
+def test_non_finite_or_too_short_input_exits_2_without_a_result(
+    run, sim_artifacts, tmp_path, case
+):
+    args, data, analysis = _NON_FINITE_CASES[case]
+    fill = {"tags": sim_artifacts["tags"], "config": sim_artifacts["config"], "tmp": tmp_path}
+    if data is not None:
+        fill["data"] = write_xy(tmp_path, *data)
+    if analysis is not None:
+        fill["config"] = write_config(tmp_path, analysis=analysis)  # NaN, Infinity
+    code, out, err = run(*(a.format(**fill) for a in args))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 class TestExitCodes:
     def test_missing_tag_file_exits_2(self, run, tmp_path):
         cfg = write_config(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homsim as hs
+from homsim import formats
 from helpers import brute_force_histogram, make_stream
 
 
@@ -33,7 +34,6 @@ def _synthetic_comb(
         bin_width_ps=bin_width,
         window_ps=window,
         counts=np.asarray(np.rint(counts), dtype=np.int64),
-        total_pairs=int(np.rint(counts).sum()),
     )
 
 
@@ -117,6 +117,20 @@ class TestCrossCorrelate:
         assert hist.counts.sum() == 0
         assert hist.total_pairs == 0
 
+    def test_total_pairs_is_the_sum_of_the_counts(self, tmp_path):
+        counts = np.array([0, 3, 5, 1], dtype=np.int64)
+        hist = hs.CorrelationHistogram(bin_width_ps=10.0, window_ps=20.0, counts=counts)
+        assert hist.total_pairs == 9
+        p = tmp_path / "hist.csv"
+        formats.write_histogram_csv(p, hist)
+        back = formats.read_histogram_csv(p)
+        assert back.total_pairs == back.counts.sum() == 9
+
+    @pytest.mark.parametrize("bin_width,window", [(np.nan, 500.0), (10.0, np.nan), (10.0, np.inf)])
+    def test_non_finite_bin_width_or_window_rejected(self, bin_width, window):
+        with pytest.raises(hs.ValidationError, match="finite"):
+            hs.cross_correlate(make_stream([0, 10], [5, 20]), bin_width, window)
+
     def test_result_independent_of_worker_count(self, monkeypatch):
         rng = np.random.default_rng(3)
         t0 = np.sort(rng.integers(0, 10_000_000, size=20000))
@@ -158,7 +172,6 @@ class TestBackground:
             bin_width_ps=hist.bin_width_ps,
             window_ps=hist.window_ps,
             counts=counts,
-            total_pairs=int(counts.sum()),
         )
         estimate = hs.estimate_background(tailed, period, delay_ps=delay)
         assert estimate == pytest.approx(floor, rel=0.02)
@@ -182,6 +195,19 @@ class TestBackground:
         hist = _synthetic_comb(floor=7.0)
         with pytest.raises(hs.EstimationError):
             hs.estimate_background(hist, period_ps=13000.0, delta_t_ps=12960.0)
+
+
+class TestCombInputs:
+    @pytest.mark.parametrize(
+        "period,delay",
+        [(np.nan, 0.0), (np.inf, 0.0), (13000.0, np.nan), (13000.0, -np.inf), (13000.0, 1e300)],
+    )
+    def test_non_finite_period_or_delay_outside_the_window_rejected(self, period, delay):
+        hist = _synthetic_comb()
+        with pytest.raises(hs.ValidationError, match="finite"):
+            hs.estimate_background(hist, period, delay_ps=delay)
+        with pytest.raises(hs.ValidationError, match="finite"):
+            hs.integrate_peaks(hist, period, delay_ps=delay)
 
 
 class TestIntegratePeaks:
@@ -232,7 +258,6 @@ class TestIntegratePeaks:
             bin_width_ps=hist.bin_width_ps,
             window_ps=hist.window_ps,
             counts=hist.counts * 3,
-            total_pairs=hist.total_pairs * 3,
         )
         a = hs.integrate_peaks(hist, 13000.0, 3000.0, 6).g2_zero
         b = hs.integrate_peaks(scaled, 13000.0, 3000.0, 6).g2_zero
@@ -307,6 +332,12 @@ class TestTimetrace:
         only0 = hs.timetrace(stream, train, channel=0)
         assert both.counts.sum() == 3
         assert only0.counts.sum() == 2
+
+    @pytest.mark.parametrize("bin_width", [np.nan, np.inf, 0.5, 1e-300])
+    def test_bin_width_must_be_finite_and_at_least_1_ps(self, bin_width):
+        train = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=10)
+        with pytest.raises(hs.ValidationError, match="bin_width_ps"):
+            hs.timetrace(make_stream([100, 200], [300]), train, bin_width_ps=bin_width)
 
 
 class TestEstimateDelay:

@@ -250,6 +250,25 @@ class TestReport:
         assert data["areas"] == [1.5, 2.5]
         assert data["nested"]["values"] == [1, 2]
 
+    def test_other_numpy_values_are_written_as_equal_python_values(self, tmp_path):
+        p = tmp_path / "report.json"
+        formats.write_report(
+            p,
+            {
+                "f32": np.float32(0.25),
+                "i64": np.int64(-7),
+                "zero_d": np.array(3.5),
+                "pair": (np.array([1, 2]), np.array([0.5])),
+            },
+        )
+        data = json.loads(p.read_text())
+        assert data == {"f32": 0.25, "i64": -7, "zero_d": 3.5, "pair": [[1, 2], [0.5]]}
+        assert type(data["i64"]) is int and type(data["zero_d"]) is float
+
+    def test_object_json_cannot_write_raises_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            formats.write_report(tmp_path / "report.json", {"x": object()})
+
     def test_output_is_stable_and_sorted(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         formats.write_report(p1, {"b": 1, "a": 2})
