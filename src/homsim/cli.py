@@ -10,19 +10,20 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
 from . import calib, correlate, fitting, interfere, model, simulate
 from .config import config_digest, load_scenario
 from .formats import (
+    read_csv_header,
     read_ptg1,
     read_xy_csv,
     write_histogram_csv,
     write_ptg1,
     write_report,
     write_timetrace_csv,
-    _read_comment_meta,
 )
 from .model import ConfigurationError, EstimationError, ValidationError
 from .svgplot import histogram_svg, timetrace_svg
@@ -220,14 +221,7 @@ def _cmd_analyze_hom(args) -> None:
             "area": table.areas,
             "error": table.area_errors,
         },
-        "analysis": {
-            "bin_width_ps": ana.bin_width_ps,
-            "window_ps": ana.window_ps,
-            "delta_t_ps": ana.delta_t_ps,
-            "n_side": ana.n_side,
-            "background_correction": ana.background_correction,
-            "comb_offset_ps": args.comb_offset_ps,
-        },
+        "analysis": {**asdict(ana), "comb_offset_ps": args.comb_offset_ps},
         "seed": cfg.seed,
         "config_digest": config_digest(cfg),
         "files": {"histogram": hist_csv, "peaks": peaks_csv, "plot": svg_path},
@@ -275,7 +269,7 @@ def _finish_fit(res, out_path) -> None:
 
 def _load_trace_xy(path):
     x, y = read_xy_csv(path)
-    meta = _read_comment_meta(path)
+    meta = read_csv_header(path)
     if "bin_width_ps" in meta:
         x = x + float(meta["bin_width_ps"]) / 2.0
     return x, y

@@ -18,6 +18,7 @@ from .model import (
     DetectorSpec,
     EmitterSpec,
     PulseTrainSpec,
+    ValidationError,
 )
 
 
@@ -30,6 +31,13 @@ class AnalysisSpec:
     delta_t_ps: float = 3000.0
     n_side: int = 6
     background_correction: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("bin_width_ps", "window_ps", "delta_t_ps"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValidationError("analysis.%s must be positive and finite" % name)
+        if self.n_side < 2 or self.n_side % 2:
+            raise ValidationError("analysis.n_side must be an even count >= 2")
 
 
 @dataclass(frozen=True)

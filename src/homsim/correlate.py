@@ -8,6 +8,7 @@ peak ratios into the two-photon interference visibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +60,22 @@ class CorrelationHistogram:
         return -self.window_ps + self.bin_width_ps * (np.arange(self.n_bins) + 0.5)
 
 
-def _histogram_chunk(t0_chunk, times1, window, bin_width, n_bins):
-    lo = np.searchsorted(times1, t0_chunk - window, side="left")
-    hi = np.searchsorted(times1, t0_chunk + window, side="left")
-    counts_per = hi - lo
-    total = int(counts_per.sum())
-    if total == 0:
-        return np.zeros(n_bins, dtype=np.int64)
-    starts = np.cumsum(counts_per) - counts_per
-    flat = np.arange(total) - np.repeat(starts, counts_per) + np.repeat(lo, counts_per)
-    tau = times1[flat] - np.repeat(t0_chunk, counts_per)
-    idx = np.floor((tau + window) / bin_width).astype(np.int64)
-    return np.bincount(idx, minlength=n_bins).astype(np.int64)
+def _histogram_slice(stream, start, stop, below, above, window, bin_width, n_bins):
+    """Histogram of the pairs whose channel-0 tag is one of tags [start, stop).
+    For integer tags, t1 >= t0 - window exactly when t1 >= t0 - below, and
+    t1 < t0 + window exactly when t1 < t0 + above."""
+    times, near = stream.times_ps, stream.times_ps[start:stop]
+    t0 = near[stream.channels[start:stop] == 0]
+    a, b = np.searchsorted(times, (near[0] - below, near[-1] + above))
+    t1 = times[a:b][stream.channels[a:b] == 1]
+    lo = np.searchsorted(t1, t0 - below)
+    counts_per = np.searchsorted(t1, t0 + above) - lo
+    flat = np.arange(counts_per.sum())
+    flat -= np.repeat(np.cumsum(counts_per) - counts_per - lo, counts_per)
+    tau = (t1[flat] - np.repeat(t0, counts_per)).astype(np.float64)
+    tau += window  # exact, as |tau| <= window
+    tau /= bin_width
+    return np.bincount(np.floor(tau, out=tau).astype(np.int64), minlength=n_bins)
 
 
 def cross_correlate(
@@ -80,8 +85,10 @@ def cross_correlate(
 
     Pair delays tau = t(ch1) - t(ch0) in [-window, window) are binned on the
     half-open grid. Equivalent to brute-force pair enumeration; implemented
-    as a sorted sweep, chunked over channel-0 tags (partial histograms sum,
-    so the result is identical for any chunking or worker count).
+    as a sweep over slices of 32,768 tags of the merged stream, searching each
+    slice's channel-0 tags in the short run of channel-1 tags in reach of it,
+    with exact integer delays at any tag time. Partial histograms sum, so the
+    result is identical for any worker count.
     """
     if not (np.isfinite(bin_width_ps) and np.isfinite(window_ps)):
         raise ValidationError("bin_width_ps and window_ps must be finite")
@@ -98,16 +105,20 @@ def cross_correlate(
             "window_ps must be a positive even multiple of bin_width_ps"
         )
     # the stream guarantees sorted times and channels 0/1
-    t0, t1 = (stream.times_ps[stream.channels == ch].astype(np.float64) for ch in (0, 1))
-    if t0.size and t1.size and window_ps > stream.span_ps and (t0.size > 1 or t1.size > 1):
+    n, ones = stream.n_records, np.count_nonzero(stream.channels)
+    if 0 < ones < n and n >= 3 and window_ps > stream.span_ps:
         raise ValidationError(
             "correlation window %g ps exceeds the data span %g ps" % (window_ps, stream.span_ps)
         )
-    chunk = 1 << 14
+    # no pair is more than the span apart, which keeps the bounds in int64
+    below, above = (min(r(window_ps), stream.span_ps + 1) for r in (math.floor, math.ceil))
+    chunk = 1 << 15
     counts = np.zeros(n_bins, dtype=np.int64)
     for partial in _map_chunks(
-        lambda i: _histogram_chunk(t0[i : i + chunk], t1, window_ps, bin_width_ps, n_bins),
-        range(0, t0.size, chunk),
+        lambda i: _histogram_slice(
+            stream, i, i + chunk, below, above, window_ps, bin_width_ps, n_bins
+        ),
+        range(0, n, chunk),
     ):
         counts += partial
     return CorrelationHistogram(

@@ -116,7 +116,7 @@ def write_histogram_csv(path, hist: CorrelationHistogram) -> None:
 
 
 def read_histogram_csv(path) -> CorrelationHistogram:
-    meta = _read_comment_meta(path)
+    meta = read_csv_header(path)
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if "bin_width_ps" not in meta or "window_ps" not in meta:
         raise ValidationError(
@@ -140,7 +140,7 @@ def write_timetrace_csv(path, trace: Timetrace) -> None:
 
 
 def read_timetrace_csv(path) -> Timetrace:
-    meta = _read_comment_meta(path)
+    meta = read_csv_header(path)
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if "bin_width_ps" not in meta or "period_ps" not in meta:
         raise ValidationError(
@@ -155,7 +155,8 @@ def read_timetrace_csv(path) -> Timetrace:
     )
 
 
-def _read_comment_meta(path) -> dict:
+def read_csv_header(path) -> dict:
+    """The "# key=value" lines at the top of a CSV, as strings by key."""
     meta = {}
     with open(path) as fh:
         for line in fh:

@@ -159,12 +159,16 @@ def _block_rng(seed: int, stream: int, block: int) -> Generator:
 
 
 def _gauss(u: np.ndarray) -> np.ndarray:
-    """Box-Muller normals from words u of shape (2, k), each in [0, 1).
+    """Box-Muller normals sqrt(-2 ln(1 - u0)) cos(pi (2 u1 - 1)), made in
+    place in u[0] from words u of shape (2, k), each in [0, 1).
 
     |z| <= sqrt(-2 ln 2^-53) < 8.6, since 1 - u >= 2^-53. The angle is
     taken in [-pi, pi), where numpy's cos is faster; that flips the sign.
     """
-    return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(np.pi * (2.0 * u[1] - 1.0))
+    r, c = u
+    np.sqrt(np.multiply(np.log1p(np.negative(r, out=r), out=r), -2.0, out=r), out=r)
+    np.multiply(np.subtract(np.multiply(c, 2.0, out=c), 1.0, out=c), np.pi, out=c)
+    return np.multiply(r, np.cos(c, out=c), out=r)
 
 
 def _blink_words(
@@ -230,20 +234,19 @@ def _blink_gate(
 
 def _emission_columns(
     emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int,
-    carries=None,
+    carries, has, t, f,
 ):
-    """One source's photon slots for pulse block `block`: (has, t, f, slow).
+    """Fill one source's photon slots has, t and f, of shape (2, n) and all
+    false and 0 on entry, for pulse block `block`; return slow.
 
-    has, t and f have shape (2, n): row 0 is the primary photon, row 1 the
-    extra slow-branch photon, which a pulse only has when it has a primary;
-    t and f are 0 where there is no photon. slow flags the primary photons
-    that took the slow branch. carries are the emitter's _blink_carries;
-    None leaves the primary photons ungated.
+    Row 0 is the primary photon, row 1 the extra slow-branch photon, which a
+    pulse only has when it has a primary; t and f stay 0 where there is no
+    photon. slow flags the primary photons that took the slow branch.
+    carries are the emitter's _blink_carries; None leaves them ungated.
     """
     p0 = block * _CHUNK_PULSES
-    n = min(_CHUNK_PULSES, train.n_pulses - p0)
+    n = has.shape[1]
     rng = _block_rng(seed, source_id, block)
-    has = np.zeros((2, n), dtype=bool)
     has[0] = rng.random(n) < emitter.emission_prob
     if carries is not None:
         has[0] &= _blink_gate(emitter, train, seed, source_id, block, carries[block])
@@ -252,7 +255,6 @@ def _emission_columns(
     slow[idx] = rng.random(idx.size) < emitter.slow_fraction
     delay = train.source_delay_ps if source_id == 2 else 0.0
     start = (p0 + idx) * train.period_ps + delay
-    t = np.zeros((2, n))
     t1 = np.where(slow[idx], emitter.t1_slow_ps, emitter.t1_fast_ps)
     t[0, idx] = start - np.log1p(-rng.random(idx.size)) * t1
     extra = idx[:0]
@@ -261,12 +263,11 @@ def _emission_columns(
         extra = idx[double]
         has[1, extra] = True
         t[1, extra] = start[double] - np.log1p(-rng.random(extra.size)) * emitter.t1_slow_ps
-    f = np.zeros((2, n))
     sd = emitter.spectral_diffusion_sigma_uev
     if sd > 0.0:
         f[0, idx] = sd * _gauss(rng.random((2, idx.size)))
         f[1, extra] = sd * _gauss(rng.random((2, extra.size)))
-    return has, t, f, slow
+    return slow
 
 
 def _order_slots(has, times, freqs):
@@ -282,17 +283,16 @@ def _order_slots(has, times, freqs):
 
 
 def _route_chunk(
-    block: int, e1: EmitterSpec, e2: EmitterSpec, src1, src2,
+    block: int, e1: EmitterSpec, e2: EmitterSpec, has, times, freqs,
     circuit: CircuitSpec, det: DetectorSpec, seed: int,
 ):
     """Route one pulse block through the splitter: its sorted tag keys, and its
     photons emitted, detected and paired.
 
-    src1 and src2 are the _emission_columns of emitters e1 and e2; they stack
-    into the four photon slots, 0/1 from source 1 and 2/3 from source 2. A
-    tag's key is 2 * time + channel.
+    has, times and freqs are the four photon slots, rows 0/1 filled by
+    _emission_columns of emitter e1 and rows 2/3 by that of e2; they are
+    reordered in place. A tag's key is 2 * time + channel.
     """
-    has, times, freqs = (np.concatenate((a, b)) for a, b in zip(src1[:3], src2[:3]))
     _order_slots(has, times, freqs)
     # a photon's flat index is slot * n + pulse: ascending indices are
     # slot-major, and those below 2n are source 1's
@@ -339,8 +339,9 @@ def _route_chunk(
     tt = times.take(out[keep])
     sigma = det.irf_sigma_ps
     if sigma > 0.0:
-        tt = tt + sigma * _gauss(rng.random((2, tt.size)))
-    ti = np.rint(tt).astype(np.int64)
+        z = _gauss(rng.random((2, tt.size)))
+        tt += np.multiply(z, sigma, out=z)
+    ti = np.rint(tt, out=tt).astype(np.int64)
     ok = ti >= 0
     return np.sort(2 * ti[ok] + ch[ok]), (live.size, int(ok.sum()), idx.size)
 
@@ -473,8 +474,11 @@ def run_simulation(
     counts = np.zeros(3, dtype=np.int64)  # photons emitted, detected and paired
 
     def work(block: int):
-        col1, col2 = (_emission_columns(e, train, i, seed, block, c) for i, e, c in sources)
-        return _route_chunk(block, emitter1, emitter2, col1, col2, circuit, det, seed)
+        n = min(_CHUNK_PULSES, train.n_pulses - block * _CHUNK_PULSES)
+        slots = np.zeros((4, n), dtype=bool), np.zeros((4, n)), np.zeros((4, n))
+        for i, e, c in sources:
+            _emission_columns(e, train, i, seed, block, c, *(a[2 * i - 2 : 2 * i] for a in slots))
+        return _route_chunk(block, emitter1, emitter2, *slots, circuit, det, seed)
 
     def segments():
         """All tag keys in time order, as sorted segments (see the module docstring)."""
@@ -494,20 +498,21 @@ def run_simulation(
         yield dark[d0:]
 
     last = [None, None]  # each channel's last kept tag
-    times, chans, pruned = [], [], 0
+    times, chans = [], []
     for keys in segments():
         # times are below 2^62, so the keys fit int64 and sort by time, then channel
         t, c = keys >> 1, (keys & 1).astype(np.uint8)
-        keep = _prune_dead_time(t, c, det.dead_time_ps, last)
-        times.append(t[keep])
-        chans.append(c[keep])
-        pruned += int(keep.size - keep.sum())
+        if det.dead_time_ps > 0:
+            keep = _prune_dead_time(t, c, det.dead_time_ps, last)
+            t, c = t[keep], c[keep]
+        times.append(t)
+        chans.append(c)
     stream = TimeTagStream(np.concatenate(times), np.concatenate(chans), seed=seed)
     return stream, SimulationCounters(
         photons_emitted=int(counts[0]),
         photons_detected=int(counts[1]),
         dark_counts=int(dark.size),
-        dead_time_pruned=pruned,
+        dead_time_pruned=int(counts[1]) + dark.size - stream.n_records,
         pairs_interfered=int(counts[2]),
         tags_written=stream.n_records,
     )

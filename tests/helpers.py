@@ -83,18 +83,19 @@ def make_stream(times0, times1):
     return hs.TimeTagStream(times_ps=times[order], channels=chans[order])
 
 
-def brute_force_histogram(stream, bin_width_ps, window_ps):
+def brute_force_histogram(stream, bin_width_ps, window_ps, rows=512):
     """O(N*M) reference correlator: full pair enumeration, chunked.
 
     Counts ordered pairs (a in ch0, b in ch1) by tau = t_b - t_a into
-    half-open bins covering [-window, +window).
+    half-open bins covering [-window, +window), taking rows channel-0 tags
+    at a time (each chunk holds rows x M delays).
     """
     t0 = stream.times_ps[stream.channels == 0].astype(np.float64)
     t1 = stream.times_ps[stream.channels == 1].astype(np.float64)
     n_bins = int(round(2.0 * window_ps / bin_width_ps))
     counts = np.zeros(n_bins, dtype=np.int64)
-    for lo in range(0, t0.size, 512):
-        block = t0[lo : lo + 512]
+    for lo in range(0, t0.size, rows):
+        block = t0[lo : lo + rows]
         tau = t1[None, :] - block[:, None]
         keep = (tau >= -window_ps) & (tau < window_ps)
         idx = np.floor((tau[keep] + window_ps) / bin_width_ps).astype(np.int64)
@@ -150,6 +151,15 @@ def scenario_dict(**overrides):
     return base
 
 
+def emission_block(emitter, train, source_id, seed, block, carries=None):
+    """One source's photon slots of one pulse block, as (has, t, f, slow):
+    _emission_columns run on fresh (2, n) slot arrays."""
+    n = min(_CHUNK_PULSES, train.n_pulses - block * _CHUNK_PULSES)
+    has, t, f = np.zeros((2, n), dtype=bool), np.zeros((2, n)), np.zeros((2, n))
+    slow = _emission_columns(emitter, train, source_id, seed, block, carries, has, t, f)
+    return has, t, f, slow
+
+
 def emission_columns(emitter, train, source_id, seed):
     """One source's emission columns over the whole train, blink gate applied.
 
@@ -160,7 +170,7 @@ def emission_columns(emitter, train, source_id, seed):
     """
     carries = _blink_carries(emitter, train, seed, source_id)
     blocks = [
-        _emission_columns(emitter, train, source_id, seed, b, carries)
+        emission_block(emitter, train, source_id, seed, b, carries)
         for b in range(-(-train.n_pulses // _CHUNK_PULSES))
     ]
     has, t, f, slow = (np.concatenate(cols, axis=-1) for cols in zip(*blocks))

@@ -509,6 +509,19 @@ class TestExitCodes:
         for word in words:
             assert word in err
 
+    def test_nan_analysis_width_exits_2_naming_the_field(self, run, tmp_path):
+        cfg = scenario_dict()
+        cfg["analysis"] = {"delta_t_ps": float("nan")}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))  # nan is written as NaN
+        code, _, err = run(
+            "analyze-hom", "--tags", tmp_path / "x.ptg1", "--config", path,
+            "--out-prefix", tmp_path / "x",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "analysis.delta_t_ps" in err
+
     def test_lifetime_beyond_tag_clock_exits_2(self, run, tmp_path):
         cfg = scenario_dict()
         cfg["emitter1"] = dict(cfg["emitter1"], t1_slow_ps=1e300)

@@ -241,12 +241,27 @@ class TestAnalysisDefaults:
 
     def test_partial_analysis_block_keeps_other_defaults(self):
         d = base_dict()
-        d["analysis"] = {"n_side": 5, "background_correction": False}
+        d["analysis"] = {"n_side": 4, "background_correction": False}
         a = parse_dict(d).analysis
-        assert a.n_side == 5
+        assert a.n_side == 4
         assert a.background_correction is False
         assert a.bin_width_ps == 10.0
         assert a.window_ps == 80000.0
+
+    @pytest.mark.parametrize("key", ["bin_width_ps", "window_ps", "delta_t_ps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -10.0])
+    def test_non_positive_or_non_finite_width_rejected(self, key, value):
+        d = base_dict()
+        d["analysis"] = {key: value}
+        with pytest.raises(hs.ValidationError, match="analysis.%s" % key):
+            parse_dict(d)
+
+    @pytest.mark.parametrize("n_side", [0, 1, 5, -2])
+    def test_odd_or_small_side_peak_count_rejected(self, n_side):
+        d = base_dict()
+        d["analysis"] = {"n_side": n_side}
+        with pytest.raises(hs.ValidationError, match="analysis.n_side"):
+            parse_dict(d)
 
     def test_physics_validation_still_applies(self):
         d = base_dict()

@@ -143,6 +143,53 @@ class TestCrossCorrelate:
         assert np.array_equal(results[0], results[1])
 
 
+class TestSliceSweep:
+    """cross_correlate sweeps slices of 32,768 tags of the merged stream."""
+
+    @staticmethod
+    def _stream():
+        """About 71,000 tags: the first slice holds no channel-0 tag, and a
+        burst of tied tags (300 on channel 0 at X, 100 on channel 1 at X + 3)
+        spans the boundary between the second and third slices."""
+        rng = np.random.default_rng(44)
+        t1 = np.sort(rng.integers(0, 7_000_000, size=70_000))
+        t0 = np.sort(rng.integers(6_000_000, 7_000_000, size=1000))
+        x = make_stream(t0, t1).times_ps[(2 << 15) - 100]
+        return make_stream(np.sort(np.r_[t0, [x] * 300]), np.sort(np.r_[t1, [x + 3] * 100]))
+
+    @pytest.mark.parametrize(
+        "bin_width,window", [(10.0, 2000.0), (7.5, 75.0), (2.5, 12.5), (1.25, 7.5)]
+    )
+    def test_equals_brute_force_at_every_worker_count(self, monkeypatch, bin_width, window):
+        stream = self._stream()
+        times, channels = stream.times_ps, stream.channels
+        assert not np.any(channels[: 1 << 15] == 0)
+        second, third = slice(1 << 15, 2 << 15), slice(2 << 15, None)
+        straddle = times[third][channels[third] == 1][0] - times[second][channels[second] == 0][-1]
+        assert 0 <= straddle < window
+        brute = brute_force_histogram(stream, bin_width, window, rows=16)
+        for workers in ("1", "2", "5"):
+            monkeypatch.setenv("HOMSIM_THREADS", workers)
+            hist = hs.cross_correlate(stream, bin_width, window)
+            assert np.array_equal(hist.counts, brute)
+
+    def test_delays_exact_beyond_float_precision(self):
+        # at 2^60 ps a float64 is 256 ps coarse; delays are integer differences
+        base = 2**60
+        hist = hs.cross_correlate(make_stream([base], [base + 15]), 10.0, 1000.0)
+        assert hist.counts.sum() == 1
+        assert hist.bin_centers_ps[np.argmax(hist.counts)] == 15.0
+        # a pair at exactly -window is kept in the first bin, one at exactly
+        # +window is dropped
+        t0 = base + 5000
+        hist = hs.cross_correlate(
+            make_stream([t0], [t0 - 1000, t0 + 15, t0 + 1000]), 10.0, 1000.0
+        )
+        expected = np.zeros(200, dtype=np.int64)
+        expected[[0, 101]] = 1
+        assert np.array_equal(hist.counts, expected)
+
+
 class TestBackground:
     def test_flat_histogram_recovers_level(self):
         hist = _synthetic_comb(floor=7.0, peak_height=0.0)

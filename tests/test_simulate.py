@@ -14,6 +14,7 @@ from homsim import simulate
 from helpers import (
     blink_gate_reference,
     blink_probabilities,
+    emission_block,
     emission_columns,
     emitter_long_t2,
     emitter_short_t2,
@@ -419,8 +420,12 @@ class TestBlockPipeline:
         """Each pulse block's tag keys, as its worker makes them (no blinking)."""
         return [
             simulate._route_chunk(
-                b, e1, e2, simulate._emission_columns(e1, train, 1, seed, b),
-                simulate._emission_columns(e2, train, 2, seed, b), circuit, det, seed,
+                b, e1, e2,
+                *(np.concatenate(cols) for cols in zip(
+                    emission_block(e1, train, 1, seed, b)[:3],
+                    emission_block(e2, train, 2, seed, b)[:3],
+                )),
+                circuit, det, seed,
             )[0]
             for b in range(-(-train.n_pulses // simulate._CHUNK_PULSES))
         ]
@@ -512,15 +517,27 @@ class TestBlockPipeline:
         assert (peaks[1] - peaks[0]) / (tags[1] - tags[0]) <= 24.0
 
 
+def _box_muller_reference(u):
+    """The plain Box-Muller formula that simulate._gauss computes in place."""
+    return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(np.pi * (2.0 * u[1] - 1.0))
+
+
 class TestBlockDraws:
     def test_gaussian_at_extreme_words_stays_below_nine_sigma(self):
         # _require_representable bounds tag times and kernel phases by 9 sigma
         top = 1.0 - 2.0**-53
         u = np.array([[0.0, 0.0, top, top, top], [0.0, top, 0.0, 0.5, top]])
+        reference = _box_muller_reference(u)
         z = simulate._gauss(u)
+        assert np.array_equal(z, reference)
         assert np.all(np.isfinite(z))
         assert np.abs(z).max() == pytest.approx(np.sqrt(53.0 * 2.0 * np.log(2.0)))
         assert np.abs(z).max() < 9.0
+
+    def test_gaussian_equals_box_muller_formula_bit_for_bit(self):
+        u = simulate._block_rng(17, 3, 0).random((2, 100_003))
+        reference = _box_muller_reference(u)
+        assert np.array_equal(simulate._gauss(u), reference)
 
     def test_block_draws_depend_only_on_seed_stream_and_block(self):
         e = make_emitter(
@@ -530,8 +547,8 @@ class TestBlockDraws:
         short = _train(simulate._CHUNK_PULSES + 17)
         long = _train(3 * simulate._CHUNK_PULSES)
         for source in (1, 2):
-            a = simulate._emission_columns(e, short, source, 41, 0)
-            b = simulate._emission_columns(e, long, source, 41, 0)
+            a = emission_block(e, short, source, 41, 0)
+            b = emission_block(e, long, source, 41, 0)
             assert a[0].shape == (2, simulate._CHUNK_PULSES)
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
