@@ -153,40 +153,22 @@ def _cmd_analyze_hom(args) -> None:
     floor = correlate.estimate_background(
         hist, period, delta_t_ps=ana.delta_t_ps, delay_ps=args.comb_offset_ps
     )
-    raw = correlate.integrate_peaks(
-        hist, period, ana.delta_t_ps, ana.n_side, delay_ps=args.comb_offset_ps
-    )
-    corrected = correlate.integrate_peaks(
-        hist,
-        period,
-        ana.delta_t_ps,
-        ana.n_side,
-        floor=floor,
-        corrected=True,
-        delay_ps=args.comb_offset_ps,
-    )
-    headline = corrected if ana.background_correction else raw
-    # the eleven-peak table, or the configured comb where ten side peaks do not fit
-    try:
-        table_raw = correlate.integrate_peaks(
-            hist, period, ana.delta_t_ps, n_side=10, delay_ps=args.comb_offset_ps
-        )
-        table_corr = correlate.integrate_peaks(
-            hist, period, ana.delta_t_ps, n_side=10, floor=floor, corrected=True,
+
+    def comb(corrected, n_side=ana.n_side, delta_t_ps=ana.delta_t_ps):
+        # through the module, so that a wrapper of integrate_peaks sees each call
+        return correlate.integrate_peaks(
+            hist, period, delta_t_ps, n_side, floor=floor, corrected=corrected,
             delay_ps=args.comb_offset_ps,
         )
+
+    raw, corrected = comb(False), comb(True)
+    # the eleven-peak table, or the configured comb where ten side peaks do not fit
+    try:
+        table_raw, table_corr = comb(False, n_side=10), comb(True, n_side=10)
     except ConfigurationError:
         table_raw, table_corr = raw, corrected
-    table = table_corr if ana.background_correction else table_raw
-    narrow = correlate.integrate_peaks(
-        hist,
-        period,
-        delta_t_ps=max(100.0, 2.0 * ana.bin_width_ps),
-        n_side=ana.n_side,
-        floor=floor if ana.background_correction else 0.0,
-        corrected=ana.background_correction,
-        delay_ps=args.comb_offset_ps,
-    )
+    headline, table = (corrected, table_corr) if ana.background_correction else (raw, table_raw)
+    narrow = comb(ana.background_correction, delta_t_ps=max(100.0, 2.0 * ana.bin_width_ps))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         v_post = interfere.postselected_visibility(max(narrow.g2_zero, 0.0))

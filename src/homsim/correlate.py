@@ -32,12 +32,11 @@ class CorrelationHistogram:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.counts.size
-        expected = 2.0 * self.window_ps / self.bin_width_ps
-        if abs(n - expected) > 1e-9 or n % 2 != 0:
+        n, width = self.counts.size, self.bin_width_ps
+        if n < 2 or n % 2 or not (width > 0 and abs(n - 2.0 * self.window_ps / width) <= 1e-9):
             raise ConfigurationError(
-                "histogram needs an even bin count of 2*window/bin_width; "
-                "got %d bins for window %g ps, bin %g ps"
+                "histogram needs a bin width > 0 and an even bin count >= 2 of "
+                "2*window/bin_width; got %d bins for window %g ps, bin %g ps"
                 % (n, self.window_ps, self.bin_width_ps)
             )
         if np.any(self.counts < 0):
@@ -60,10 +59,31 @@ class CorrelationHistogram:
         return -self.window_ps + self.bin_width_ps * (np.arange(self.n_bins) + 0.5)
 
 
-def _histogram_slice(stream, start, stop, below, above, window, bin_width, n_bins):
-    """Histogram of the pairs whose channel-0 tag is one of tags [start, stop).
-    For integer tags, t1 >= t0 - window exactly when t1 >= t0 - below, and
-    t1 < t0 + window exactly when t1 < t0 + above."""
+_SLICE_TAGS = 1 << 15  # tags per slice of a sweep over the stream
+
+
+def _sweep(n_tags, count_slice, out):
+    """Adds count_slice(start, stop), the counts of tags [start, stop), over
+    the slices of _SLICE_TAGS tags of [0, n_tags) into out, in place, and
+    returns out. Integer counts sum exactly, so out is the same for any
+    worker count."""
+    slices = range(0, n_tags, _SLICE_TAGS)
+    for partial in _map_chunks(lambda i: count_slice(i, min(i + _SLICE_TAGS, n_tags)), slices):
+        np.add(out, partial, out=out)
+    return out
+
+
+def _zero_counts(n_bins):
+    try:
+        return np.zeros(n_bins, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # numpy's two ways to refuse a size
+        raise ConfigurationError("%d bins do not fit in memory (%s)" % (n_bins, exc)) from exc
+
+
+def _histogram_slice(stream, start, stop, below, above, hist):
+    """Counts on hist's grid of the pairs whose channel-0 tag is one of tags
+    [start, stop). For integer tags, t1 >= t0 - window exactly when
+    t1 >= t0 - below, and t1 < t0 + window exactly when t1 < t0 + above."""
     times, near = stream.times_ps, stream.times_ps[start:stop]
     t0 = near[stream.channels[start:stop] == 0]
     a, b = np.searchsorted(times, (near[0] - below, near[-1] + above))
@@ -73,9 +93,9 @@ def _histogram_slice(stream, start, stop, below, above, window, bin_width, n_bin
     flat = np.arange(counts_per.sum())
     flat -= np.repeat(np.cumsum(counts_per) - counts_per - lo, counts_per)
     tau = (t1[flat] - np.repeat(t0, counts_per)).astype(np.float64)
-    tau += window  # exact, as |tau| <= window
-    tau /= bin_width
-    return np.bincount(np.floor(tau, out=tau).astype(np.int64), minlength=n_bins)
+    tau += hist.window_ps  # exact, as |tau| <= window
+    tau /= hist.bin_width_ps
+    return np.bincount(np.floor(tau, out=tau).astype(np.int64), minlength=hist.n_bins)
 
 
 def cross_correlate(
@@ -85,26 +105,18 @@ def cross_correlate(
 
     Pair delays tau = t(ch1) - t(ch0) in [-window, window) are binned on the
     half-open grid. Equivalent to brute-force pair enumeration; implemented
-    as a sweep over slices of 32,768 tags of the merged stream, searching each
-    slice's channel-0 tags in the short run of channel-1 tags in reach of it,
-    with exact integer delays at any tag time. Partial histograms sum, so the
-    result is identical for any worker count.
+    as a sweep over slices of the merged stream, searching each slice's
+    channel-0 tags in the short run of channel-1 tags in reach of it, with
+    exact integer delays at any tag time.
     """
     if not (np.isfinite(bin_width_ps) and np.isfinite(window_ps)):
         raise ValidationError("bin_width_ps and window_ps must be finite")
     if bin_width_ps < 1.0:
         raise ValidationError("bin_width_ps must be >= 1 ps")
-    n_bins = int(round(2.0 * window_ps / bin_width_ps))
-    if (
-        window_ps <= 0
-        or n_bins < 2
-        or n_bins % 2 != 0
-        or abs(n_bins * bin_width_ps - 2.0 * window_ps) > 1e-6
-    ):
-        raise ConfigurationError(
-            "window_ps must be a positive even multiple of bin_width_ps"
-        )
-    # the stream guarantees sorted times and channels 0/1
+    n_bins = max(int(round(2.0 * window_ps / bin_width_ps)), 0)
+    # CorrelationHistogram checks the grid
+    hist = CorrelationHistogram(float(bin_width_ps), float(window_ps), _zero_counts(n_bins))
+    # the stream guarantees sorted times in [0, TAG_CLOCK_PS) and channels 0/1
     n, ones = stream.n_records, np.count_nonzero(stream.channels)
     if 0 < ones < n and n >= 3 and window_ps > stream.span_ps:
         raise ValidationError(
@@ -112,20 +124,8 @@ def cross_correlate(
         )
     # no pair is more than the span apart, which keeps the bounds in int64
     below, above = (min(r(window_ps), stream.span_ps + 1) for r in (math.floor, math.ceil))
-    chunk = 1 << 15
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for partial in _map_chunks(
-        lambda i: _histogram_slice(
-            stream, i, i + chunk, below, above, window_ps, bin_width_ps, n_bins
-        ),
-        range(0, n, chunk),
-    ):
-        counts += partial
-    return CorrelationHistogram(
-        bin_width_ps=float(bin_width_ps),
-        window_ps=float(window_ps),
-        counts=counts,
-    )
+    _sweep(n, lambda i, j: _histogram_slice(stream, i, j, below, above, hist), hist.counts)
+    return hist
 
 
 def _check_comb(hist, period_ps, delay_ps) -> None:
@@ -361,18 +361,22 @@ def timetrace(
     """Fold tag times modulo the pulse period into bins of >= 1 ps (tags are integer ps)."""
     if not 1.0 <= bin_width_ps < np.inf:
         raise ValidationError("bin_width_ps must be finite and >= 1 ps")
-    times = stream.times_ps
-    if channel is not None:
-        times = times[stream.channels == channel]
     period = train.period_ps
     n_bins = int(np.ceil(period / bin_width_ps))
-    folded = np.mod(np.asarray(times, dtype=np.float64), period)
-    idx = np.minimum(np.floor(folded / bin_width_ps).astype(np.int64), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
+
+    def fold(start, stop):
+        times = stream.times_ps[start:stop]
+        if channel is not None:
+            times = times[stream.channels[start:stop] == channel]
+        phase = np.mod(times.astype(np.float64), period)
+        phase /= bin_width_ps
+        idx = np.floor(phase, out=phase).astype(np.int64)
+        return np.bincount(np.minimum(idx, n_bins - 1, out=idx), minlength=n_bins)
+
     return Timetrace(
         bin_width_ps=float(bin_width_ps),
         period_ps=float(period),
-        counts=counts,
+        counts=_sweep(stream.n_records, fold, _zero_counts(n_bins)),
         channel=channel,
     )
 

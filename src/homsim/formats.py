@@ -3,10 +3,11 @@
 PTG1 layout (all little-endian): magic "PTG1" (4 bytes), version u16 = 1,
 resolution_ps u64, record_count u64 — a 22-byte header — followed by
 record_count fixed 16-byte records: time u64, channel u8, 7 reserved zero
-bytes. Tag times are integer picoseconds: the writer sets resolution_ps to
-1, and the reader rejects any other value rather than take its ticks for
-picoseconds. Fixed-stride records allow chunked/memory-mapped reads; the
-reader reports malformed input with exact byte offsets.
+bytes. Tag times are integer picoseconds below TAG_CLOCK_PS: the writer
+sets resolution_ps to 1, and the reader rejects any other value rather than
+take its ticks for picoseconds. Fixed-stride records allow chunked or
+memory-mapped reads; the reader reports malformed input with exact byte
+offsets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .correlate import CorrelationHistogram, Timetrace
 from .model import ValidationError
-from .simulate import TimeTagStream
+from .simulate import TAG_CLOCK_PS, TimeTagStream
 
 PTG1_MAGIC = b"PTG1"
 PTG1_VERSION = 1
@@ -30,11 +31,8 @@ _SLICE_RECORDS = 1 << 16  # records written or read per slice
 
 
 def write_ptg1(path, stream: TimeTagStream) -> None:
-    """Write a tag stream, one record slice at a time; times must be
-    non-negative integer picoseconds (the stream holds them sorted)."""
+    """Write a tag stream, one record slice at a time."""
     times, channels = stream.times_ps, stream.channels
-    if times.size and times[0] < 0:
-        raise ValidationError("tag times must be non-negative")
     # the reserved bytes stay zero: only time and channel are refilled
     records = np.zeros(min(times.size, _SLICE_RECORDS), dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
@@ -95,6 +93,12 @@ def read_ptg1(path) -> TimeTagStream:
         raise ValidationError(
             "time %d of record 0 at byte offset %d exceeds the int64 tag clock"
             % (int(times[0]) + 2**64, _HEADER.size)
+        )
+    i = int(np.searchsorted(times, TAG_CLOCK_PS))
+    if i < count:
+        raise ValidationError(
+            "time %d of record %d at byte offset %d is past the %d ps tag clock"
+            % (times[i], i, _HEADER.size + i * _RECORD_DTYPE.itemsize, TAG_CLOCK_PS)
         )
     bad_ch = np.flatnonzero(channels > 1)
     if bad_ch.size:

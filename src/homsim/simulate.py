@@ -68,14 +68,18 @@ _STREAM_CIRCUIT = 3
 _STREAM_DARK = 4  # + channel
 _STREAM_BLINK = 5  # + source id
 _CHUNK_PULSES = 1 << 16
+# Tag times lie in [0, TAG_CLOCK_PS) ps, so that a tag plus a dead time or a
+# stream span, and the merge key 2 * tag + 1, fit int64.
+TAG_CLOCK_PS = 1 << 62
 
 
 @dataclass(frozen=True)
 class TimeTagStream:
     """Detector output: channel/time records sorted by time.
 
-    times_ps are integer picoseconds; channels are 0/1. seed and
-    config_digest carry provenance when produced by a simulation.
+    times_ps are integer picoseconds in [0, TAG_CLOCK_PS); channels are
+    0/1. seed and config_digest carry provenance when produced by a
+    simulation.
     """
 
     times_ps: np.ndarray
@@ -89,6 +93,11 @@ class TimeTagStream:
         if self.times_ps.size:
             if np.any(self.times_ps[1:] < self.times_ps[:-1]):
                 raise ValidationError("time tags must be sorted ascending")
+            if not (self.times_ps[0] >= 0 and self.times_ps[-1] < TAG_CLOCK_PS):
+                raise ValidationError(
+                    "tag times must lie in [0, %d) ps; got %d to %d"
+                    % (TAG_CLOCK_PS, self.times_ps[0], self.times_ps[-1])
+                )
             if np.any((self.channels != 0) & (self.channels != 1)):
                 raise ValidationError("channels must be 0 or 1")
 
@@ -386,8 +395,8 @@ def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float, la
     for ch in (0, 1):
         idx = np.flatnonzero(channels == ch)
         if last[ch] is not None:
-            # capped at 2^62, past every tag, so that the bound fits int64
-            idx = idx[np.searchsorted(times[idx], min(last[ch] + dead, 2**62)) :]
+            # capped past every tag, so that the bound fits int64
+            idx = idx[np.searchsorted(times[idx], min(last[ch] + dead, TAG_CLOCK_PS)) :]
         if idx.size:
             t = times[idx]
             on = _dead_time_chain(t, dead)
@@ -420,8 +429,8 @@ def _require_representable(
     """Reject specs whose draws overflow the tag clock or the pair kernel.
 
     A decay draw is below -ln(2^-53) < 37 lifetimes and a Gaussian draw
-    (_gauss) below 9 sigma. The latest tag must stay under 2^62 ps, so that
-    tags, tag + dead time and the merge's 2 * tag + 1 fit int64. For a pair,
+    (_gauss) below 9 sigma. The latest tag must stay under TAG_CLOCK_PS, so
+    that tags, tag + dead time and the merge's 2 * tag + 1 fit int64. For a pair,
     |tau| < delay + 37 lifetimes, and the kernel's phase delta*tau and
     exponent (gs1 + gs2)*|tau| must be finite. The blink gate needs the
     total switching rate k_on + k_off to be finite.
@@ -434,7 +443,7 @@ def _require_representable(
             )
     slowest = max(max(e.t1_fast_ps, e.t1_slow_ps) for e in (e1, e2))
     t_max = train.span_ps + train.source_delay_ps + 37.0 * slowest + 9.0 * det.irf_sigma_ps
-    if not t_max < 2.0**62:
+    if not t_max < TAG_CLOCK_PS:
         raise ValidationError(
             "tag times up to %g ps do not fit the int64 picosecond tag clock; "
             "shorten the pulse train, the lifetimes or the IRF" % t_max
@@ -500,7 +509,7 @@ def run_simulation(
     last = [None, None]  # each channel's last kept tag
     times, chans = [], []
     for keys in segments():
-        # times are below 2^62, so the keys fit int64 and sort by time, then channel
+        # times are below TAG_CLOCK_PS, so the keys fit int64 and sort by time, then channel
         t, c = keys >> 1, (keys & 1).astype(np.uint8)
         if det.dead_time_ps > 0:
             keep = _prune_dead_time(t, c, det.dead_time_ps, last)

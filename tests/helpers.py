@@ -232,3 +232,18 @@ def prune_dead_time_reference(times, channels, dead_ps):
             else:
                 last = times[i]
     return keep
+
+
+def timetrace_reference(stream, train, bin_width_ps, channel=None):
+    """Whole-array period fold of the tag times, copying the whole stream.
+
+    Reference for correlate.timetrace, which folds one slice at a time.
+    """
+    times = stream.times_ps
+    if channel is not None:
+        times = times[stream.channels == channel]
+    period = train.period_ps
+    n_bins = int(np.ceil(period / bin_width_ps))
+    folded = np.mod(np.asarray(times, dtype=np.float64), period)
+    idx = np.minimum(np.floor(folded / bin_width_ps).astype(np.int64), n_bins - 1)
+    return np.bincount(idx, minlength=n_bins).astype(np.int64)

@@ -30,6 +30,13 @@ def write_config(tmp_path, name="scenario.json", **overrides):
     return p
 
 
+def write_two_tags(tmp_path):
+    """A PTG1 file of one tag per channel: too few for the window-against-span check."""
+    p = tmp_path / "two.ptg1"
+    formats.write_ptg1(p, hs.TimeTagStream(np.array([10, 20]), np.array([0, 1], dtype=np.uint8)))
+    return p
+
+
 def write_xy(tmp_path, x, y, name="data.csv", header=""):
     p = tmp_path / name
     rows = "".join("%g,%g\n" % (a, b) for a, b in zip(x, y))
@@ -249,6 +256,36 @@ class TestAnalyzeHom:
         peaks = (tmp_path / "w60_peaks.csv").read_text().splitlines()
         assert sum(1 for ln in peaks if not ln.startswith("#")) == 7
 
+    def test_without_background_correction_every_headline_is_raw(
+        self, run, sim_artifacts, tmp_path
+    ):
+        cfg = write_config(tmp_path, analysis={"background_correction": False})
+        code, out, err = run(
+            "analyze-hom",
+            "--tags", sim_artifacts["tags"],
+            "--config", cfg,
+            "--out-prefix", tmp_path / "raw",
+        )
+        assert code == 0, err
+        report = json.loads((tmp_path / "raw_report.json").read_text())
+        # with a floor, the raw and corrected figures differ
+        assert report["floor_per_bin"] > 0.0
+        assert report["g2_raw"] != report["g2_corrected"]
+        printed = dict(ln.split(" = ") for ln in out.splitlines())
+        assert printed["g2_headline"] == printed["g2_raw"]
+
+        ana = hs.config.AnalysisSpec()
+        period = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=1).period_ps
+        hist = hs.cross_correlate(
+            formats.read_ptg1(sim_artifacts["tags"]), ana.bin_width_ps, ana.window_ps
+        )
+        table = hs.integrate_peaks(hist, period, ana.delta_t_ps, n_side=10)
+        assert report["eleven_peak_areas"]["area"] == table.areas.tolist()
+        assert report["eleven_peak_areas"]["error"] == table.area_errors.tolist()
+        narrow = hs.integrate_peaks(hist, period, max(100.0, 2.0 * ana.bin_width_ps), ana.n_side)
+        assert report["postselected_g2"] == narrow.g2_zero
+        assert report["postselected_g2_err"] == narrow.g2_zero_err
+
 
 class TestCorrelateCommand:
     def test_histogram_csv_and_svg(self, run, sim_artifacts):
@@ -274,6 +311,17 @@ class TestCorrelateCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("window", [1e13, 1e30])
+    def test_grid_too_large_to_allocate_exits_2_naming_the_bin_count(
+        self, run, tmp_path, window
+    ):
+        code, _, err = run(
+            "correlate", "--tags", write_two_tags(tmp_path),
+            "--bin-width-ps", 1, "--window-ps", window, "--out", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert err.startswith("error: %d bins do not fit in memory" % round(2.0 * window))
+
 
 class TestTimetraceCommand:
     def test_counts_conserved_and_channel_filter(self, run, sim_artifacts):
@@ -295,6 +343,15 @@ class TestTimetraceCommand:
         back = formats.read_timetrace_csv(out_ch0)
         assert back.channel == 0
         assert back.counts.sum() == int((stream.channels == 0).sum())
+
+    def test_period_too_long_to_allocate_exits_2_naming_the_bin_count(self, run, tmp_path):
+        # 1e-9 MHz: a 1e15 ps period in 20 ps bins
+        code, _, err = run(
+            "timetrace", "--tags", write_two_tags(tmp_path), "--rep-rate-mhz", 1e-9,
+            "--out", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert err.startswith("error: 50000000000000 bins do not fit in memory")
 
 
 class TestFitCommands:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homsim as hs
-from homsim import formats
-from helpers import brute_force_histogram, make_stream
+from homsim import correlate, formats
+from helpers import brute_force_histogram, make_stream, timetrace_reference
 
 
 def _synthetic_comb(
@@ -102,6 +102,19 @@ class TestCrossCorrelate:
                 channels=np.array([0, 1], dtype=np.uint8),
             )
 
+    @pytest.mark.parametrize("times", [[2**63 - 10, 2**63 - 5], [-1, 5], [5, 2**62]])
+    def test_stream_constructor_rejects_times_off_the_tag_clock(self, times):
+        # [2^63 - 10, 2^63 - 5] used to correlate to 0 pairs, with an int64 overflow
+        with pytest.raises(hs.ValidationError, match="tag times must lie in"):
+            make_stream([times[0]], [times[1]])
+
+    def test_latest_tag_on_the_clock_correlates_exactly(self):
+        last = hs.simulate.TAG_CLOCK_PS - 1
+        assert last == 2**62 - 1
+        hist = hs.cross_correlate(make_stream([last - 5], [last]), 10.0, 1000.0)
+        assert hist.counts.sum() == 1
+        assert hist.bin_centers_ps[np.argmax(hist.counts)] == 5.0
+
     def test_bin_must_divide_full_window_evenly(self):
         stream = make_stream([0, 10], [5, 20])
         with pytest.raises(hs.ConfigurationError):
@@ -110,6 +123,13 @@ class TestCrossCorrelate:
             hs.cross_correlate(stream, 200.0, 500.0)  # odd bin count
         with pytest.raises(hs.ValidationError):
             hs.cross_correlate(stream, 0.5, 500.0)  # sub-ps bin
+
+    @pytest.mark.parametrize(
+        "bin_width,window", [(0.0, 10.0), (-10.0, -20.0), (np.nan, 20.0), (10.0, np.nan)]
+    )
+    def test_histogram_needs_a_positive_bin_width_and_a_finite_window(self, bin_width, window):
+        with pytest.raises(hs.ConfigurationError, match="even bin count"):
+            hs.CorrelationHistogram(bin_width, window, np.zeros(4, dtype=np.int64))
 
     def test_empty_channel_gives_empty_histogram(self):
         stream = make_stream([], [100, 200])
@@ -385,6 +405,26 @@ class TestTimetrace:
         train = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=10)
         with pytest.raises(hs.ValidationError, match="bin_width_ps"):
             hs.timetrace(make_stream([100, 200], [300]), train, bin_width_ps=bin_width)
+
+    @pytest.mark.parametrize("bin_width", [20.0, 7.5, 1.25])
+    @pytest.mark.parametrize("channel", [None, 0, 1])
+    def test_slice_sweep_equals_whole_stream_fold(self, monkeypatch, bin_width, channel):
+        # three whole slices and 17 tags of a fourth, up to 2^61 ps, where a
+        # float64 holds whole multiples of 512 ps
+        n = 3 * correlate._SLICE_TAGS + 17
+        rng = np.random.default_rng(12)
+        times = np.sort(rng.integers(0, 2**61, size=n))
+        times[: n // 2] //= 2**40  # and a dense first half
+        times.sort()
+        chans = rng.integers(0, 2, size=n)
+        stream = make_stream(times[chans == 0], times[chans == 1])
+        train = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=1)
+        expected = timetrace_reference(stream, train, bin_width, channel)
+        for workers in ("1", "2", "5"):
+            monkeypatch.setenv("HOMSIM_THREADS", workers)
+            trace = hs.timetrace(stream, train, bin_width_ps=bin_width, channel=channel)
+            assert trace.counts.dtype == np.int64
+            assert np.array_equal(trace.counts, expected)
 
 
 class TestEstimateDelay:

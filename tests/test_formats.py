@@ -121,6 +121,13 @@ class TestPtg1Malformed:
         with pytest.raises(hs.ValidationError, match=msg):
             formats.read_ptg1(p)
 
+    def test_time_past_the_tag_clock_reports_its_offset(self, tmp_path):
+        # record 2 is the first at 2^62 ps or later: offset 22 + 2*16 = 54
+        p = _raw_file(tmp_path, records=[(100, 0), (2**62 - 1, 1), (2**62, 0), (2**62 + 3, 1)])
+        msg = "time 4611686018427387904 of record 2 at byte offset 54 is past the"
+        with pytest.raises(hs.ValidationError, match=msg):
+            formats.read_ptg1(p)
+
     def test_invalid_channel_reports_field_offset(self, tmp_path):
         # record 1's channel byte sits at 22 + 1*16 + 8 = 46
         p = _raw_file(tmp_path, records=[(100, 0), (200, 5)])
