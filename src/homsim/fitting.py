@@ -1,7 +1,9 @@
 """Nonlinear least-squares solver and the fit models used by the toolkit.
 
 The solver wraps scipy.optimize.least_squares (trust-region reflective, box
-bounds) and takes the covariance from the SVD of its Jacobian. Decay and dip
+bounds) and takes the covariance from the SVD of its Jacobian. It serves the
+fit models here and calib.dolp; the background floor of the correlation
+analysis is solved in numpy (correlate.estimate_background). Decay and dip
 models convolve exponentials with a Gaussian timing response in exact closed
 form (exp_conv_gauss).
 """

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import homsim as hs
 from homsim import correlate, formats
-from helpers import brute_force_histogram, make_stream, timetrace_reference
+from helpers import (
+    brute_force_histogram,
+    emitter_long_t2,
+    emitter_short_t2,
+    make_stream,
+    reference_circuit,
+    timetrace_reference,
+)
 
 
 def _synthetic_comb(
@@ -224,24 +231,8 @@ class TestBackground:
 
     @pytest.mark.parametrize("delay", [0.0, 500.0])
     def test_floor_recovered_under_exponential_tails(self, delay):
-        # two-sided exponential peaks whose tails reach far into the dead
-        # zones; the central peak is suppressed as in a HOM run
-        period, floor = 13000.0, 40.0
-        hist = _synthetic_comb(period_ps=period, peak_height=0.0)
-        tau = hist.bin_centers_ps
-        counts = np.full(tau.size, floor)
-        for k in range(-8, 9):
-            x = tau - (k * period + delay)
-            height = 2000.0 * (0.45 if k == 0 else 1.0)
-            counts += height * np.where(x >= 0, np.exp(-x / 700.0), np.exp(x / 600.0))
-        counts = np.random.default_rng(31).poisson(counts)
-        tailed = hs.CorrelationHistogram(
-            bin_width_ps=hist.bin_width_ps,
-            window_ps=hist.window_ps,
-            counts=counts,
-        )
-        estimate = hs.estimate_background(tailed, period, delay_ps=delay)
-        assert estimate == pytest.approx(floor, rel=0.02)
+        estimate = hs.estimate_background(_tailed_comb(delay), 13000.0, delay_ps=delay)
+        assert estimate == pytest.approx(40.0, rel=0.02)
 
     def test_zero_background_recovered_as_zero(self):
         hist = _synthetic_comb(floor=0.0, peak_height=500.0)
@@ -262,6 +253,78 @@ class TestBackground:
         hist = _synthetic_comb(floor=7.0)
         with pytest.raises(hs.EstimationError):
             hs.estimate_background(hist, period_ps=13000.0, delta_t_ps=12960.0)
+
+
+def _tailed_comb(delay, decay_r=700.0, decay_l=600.0):
+    """Two-sided exponential peaks every 13 ns whose tails reach far into the
+    dead zones, on a floor of 40; the central peak is suppressed as in a HOM
+    run."""
+    tau = _synthetic_comb(peak_height=0.0).bin_centers_ps
+    counts = np.full(tau.size, 40.0)
+    for k in range(-8, 9):
+        x = tau - (k * 13000.0 + delay)
+        height = 2000.0 * (0.45 if k == 0 else 1.0)
+        counts += height * np.where(x >= 0, np.exp(-x / decay_r), np.exp(x / decay_l))
+    return hs.CorrelationHistogram(
+        bin_width_ps=10.0, window_ps=80000.0, counts=np.random.default_rng(31).poisson(counts)
+    )
+
+
+def _hom_histogram():
+    """The README pair at detector efficiency 1, synchronised, 300k pulses."""
+    det = hs.DetectorSpec(efficiency=1.0, irf_fwhm_ps=80.0)
+    train = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=300000)
+    stream, _ = hs.run_simulation(
+        emitter_short_t2(), emitter_long_t2(), reference_circuit(), det, train, seed=17
+    )
+    return hs.cross_correlate(stream, 10.0, 80000.0), train.period_ps
+
+
+class TestBackgroundSolve:
+    """The numpy solve of the two decay times reaches the minimum that
+    scipy's trust-region reflective solver finds from the same start and box."""
+
+    @staticmethod
+    def _floor_and_cost(monkeypatch, solver, hist, period, **kw):
+        costs = []
+
+        def recorded(resid, p0, lo, hi):
+            p = solver(resid, p0, lo, hi)
+            costs.append(float(resid(p) @ resid(p)))
+            return p
+
+        with monkeypatch.context() as m:
+            m.setattr(correlate, "_box_least_squares", recorded)
+            floor = hs.estimate_background(hist, period, **kw)
+        assert len(costs) == 1
+        return floor, costs[0]
+
+    # "slow": a 5 ns left tail, as long as the bound of half a dead zone,
+    # ends with T_L on the upper bound and T_R free
+    @pytest.mark.parametrize("case", ["tailed-0", "tailed-500", "slow", "hom-300k"])
+    def test_same_minimum_as_trust_region_reflective(self, monkeypatch, case):
+        from scipy.optimize import least_squares
+
+        def trf(resid, p0, lo, hi):
+            p0 = np.asarray(p0, dtype=float)
+            return least_squares(resid, p0, bounds=(lo, hi), method="trf", x_scale="jac").x
+
+        period, kw = 13000.0, {}
+        if case == "hom-300k":
+            hist, period = _hom_histogram()
+            kw = {"delta_t_ps": 3000.0}
+        elif case == "slow":
+            hist = _tailed_comb(0.0, decay_r=1000.0, decay_l=5000.0)
+        else:
+            kw = {"delay_ps": float(case.split("-")[1])}
+            hist = _tailed_comb(kw["delay_ps"])
+        floor, cost = self._floor_and_cost(
+            monkeypatch, correlate._box_least_squares, hist, period, **kw
+        )
+        floor_trf, cost_trf = self._floor_and_cost(monkeypatch, trf, hist, period, **kw)
+        assert floor_trf > 0.0
+        assert floor == pytest.approx(floor_trf, rel=1e-5)
+        assert cost <= cost_trf * (1.0 + 1e-9)
 
 
 class TestCombInputs:

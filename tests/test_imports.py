@@ -11,7 +11,8 @@ from helpers import scenario_dict
 
 # Run in a fresh interpreter; after each step, record which scipy modules
 # are loaded. argv[1] is a small PTG1 file, argv[2] a scratch directory and
-# argv[3] a scenario with timing jitter and spectral diffusion.
+# argv[3] a scenario with timing jitter and spectral diffusion; analyze-hom
+# reads the tag file that simulate writes.
 _PROBE = """
 import json, sys
 
@@ -36,6 +37,11 @@ code = homsim.cli.main(
     ["simulate", "--config", sys.argv[3], "--out", sys.argv[2] + "/sim.ptg1"]
 )
 seen["simulate"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
+code = homsim.cli.main(
+    ["analyze-hom", "--tags", sys.argv[2] + "/sim.ptg1", "--config", sys.argv[3],
+     "--out-prefix", sys.argv[2] + "/hom"]
+)
+seen["analyze-hom"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
 print(json.dumps(seen))
 """
 
@@ -65,4 +71,5 @@ def test_homsim_and_light_commands_load_no_scipy(tmp_path):
         "theory": [],
         "timetrace": [],
         "simulate": [],
+        "analyze-hom": [],
     }
