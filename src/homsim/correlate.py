@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fitting import _trf_least_squares
 from .model import ConfigurationError, EstimationError, ValidationError
 from .simulate import TimeTagStream, _map_chunks
 
@@ -165,9 +166,8 @@ def estimate_background(
 
     The floor and the amplitudes are solved linearly for any decay times, so
     only (log T_R, log T_L) is searched: from the best of 8 equal pairs
-    spaced over the box, by _box_least_squares in numpy. The search stops
-    when a step lowers the squared residual, or moves the log decay times,
-    by no more than 1e-10 of their size, or after 100 Jacobians.
+    spaced over the box, by fitting._trf_least_squares, the solver of every
+    fit, to its tolerances of 1e-8.
     """
     _check_comb(hist, period_ps, delay_ps)
     if hist.window_ps < 1.5 * period_ps:
@@ -222,52 +222,10 @@ def estimate_background(
     start = min(
         np.linspace(lo, hi, 8), key=lambda g: float(np.sum((fit((g, g))[1] - y) ** 2))
     )
-    log_decay = _box_least_squares(lambda p: fit(p)[1] - y, (start, start), lo, hi)
+    log_decay = _trf_least_squares(
+        lambda p: fit(p)[1] - y, np.full(2, start), np.full(2, lo), np.full(2, hi)
+    )[0]
     return max(float(fit(log_decay)[0]), 0.0)
-
-
-def _box_least_squares(resid, p0, lo, hi):
-    """Levenberg-Marquardt minimum of |resid(p)|^2 in the box [lo, hi]^n.
-
-    From p0, with a forward-difference Jacobian J, damping scaled by
-    diag(J^T J) and trial steps projected onto the box. A coordinate with
-    zero gradient, or at a bound with its gradient pointing out, is held,
-    so a zero or rank-one Jacobian ends or shrinks the solve. Stops when a
-    step lowers the cost by at most 1e-10 of it or is at most
-    1e-10 * max(|p|, 1) long, or after 100 Jacobians.
-    """
-    p = np.asarray(p0, dtype=float)
-    r = resid(p)
-    cost = r @ r
-    damping = 1e-3
-    for _ in range(100):
-        h = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(p), 1.0)
-        steps = zip(h, np.eye(p.size))
-        jac = np.column_stack([(resid(p + h_i * e) - r) / h_i for h_i, e in steps])
-        grad = jac.T @ r
-        free = (grad != 0) & ~((p <= lo) & (grad > 0)) & ~((p >= hi) & (grad < 0))
-        if not free.any():
-            return p
-        jtj = (jac.T @ jac)[np.ix_(free, free)]
-        while True:
-            step = np.zeros_like(p)
-            step[free] = np.linalg.lstsq(
-                jtj + damping * np.diag(np.diag(jtj)), -grad[free], rcond=None
-            )[0]
-            trial = np.clip(p + step, lo, hi)
-            short = np.linalg.norm(trial - p) <= 1e-10 * max(np.linalg.norm(p), 1.0)
-            r_trial = resid(trial)
-            trial_cost = r_trial @ r_trial
-            if trial_cost < cost:
-                break
-            if short:
-                return p
-            damping *= 10.0
-        p, r, drop, cost = trial, r_trial, cost - trial_cost, trial_cost
-        if short or drop <= 1e-10 * (cost + drop):
-            return p
-        damping /= 10.0
-    return p
 
 
 @dataclass(frozen=True)

@@ -281,20 +281,21 @@ def _hom_histogram():
 
 
 class TestBackgroundSolve:
-    """The numpy solve of the two decay times reaches the minimum that
-    scipy's trust-region reflective solver finds from the same start and box."""
+    """The floor's solve of the two decay times, by the solver of every fit,
+    reaches the minimum that scipy's trust-region reflective solver finds
+    from the same start and box."""
 
     @staticmethod
     def _floor_and_cost(monkeypatch, solver, hist, period, **kw):
         costs = []
 
-        def recorded(resid, p0, lo, hi):
-            p = solver(resid, p0, lo, hi)
-            costs.append(float(resid(p) @ resid(p)))
-            return p
+        def recorded(fun, x0, lo, hi):
+            out = solver(fun, x0, lo, hi)
+            costs.append(float(fun(out[0]) @ fun(out[0])))
+            return out
 
         with monkeypatch.context() as m:
-            m.setattr(correlate, "_box_least_squares", recorded)
+            m.setattr(correlate, "_trf_least_squares", recorded)
             floor = hs.estimate_background(hist, period, **kw)
         assert len(costs) == 1
         return floor, costs[0]
@@ -305,9 +306,9 @@ class TestBackgroundSolve:
     def test_same_minimum_as_trust_region_reflective(self, monkeypatch, case):
         from scipy.optimize import least_squares
 
-        def trf(resid, p0, lo, hi):
-            p0 = np.asarray(p0, dtype=float)
-            return least_squares(resid, p0, bounds=(lo, hi), method="trf", x_scale="jac").x
+        def trf(fun, x0, lo, hi):
+            sol = least_squares(fun, x0, bounds=(lo, hi), method="trf", x_scale="jac")
+            return sol.x, sol.fun, sol.jac, sol.njev, sol.status > 0
 
         period, kw = 13000.0, {}
         if case == "hom-300k":
@@ -319,7 +320,7 @@ class TestBackgroundSolve:
             kw = {"delay_ps": float(case.split("-")[1])}
             hist = _tailed_comb(kw["delay_ps"])
         floor, cost = self._floor_and_cost(
-            monkeypatch, correlate._box_least_squares, hist, period, **kw
+            monkeypatch, correlate._trf_least_squares, hist, period, **kw
         )
         floor_trf, cost_trf = self._floor_and_cost(monkeypatch, trf, hist, period, **kw)
         assert floor_trf > 0.0

@@ -1,17 +1,23 @@
 """Least-squares solver, the closed-form IRF convolution, and the curve models."""
 
+import json
+
+import mpmath
 import numpy as np
 import pytest
 
 import homsim as hs
+from homsim import calib, fitting
+from homsim.config import parse_scenario
 from homsim.fitting import (
+    _erfcx,
     exp_conv_gauss,
     fit_biexp_irf,
     fit_g2cw,
     fit_lorentzian,
     nlls_solve,
 )
-from helpers import poissonize
+from helpers import poissonize, scenario_dict
 
 
 def _line(x, p):
@@ -103,6 +109,22 @@ class TestSolver:
         with pytest.raises(hs.ValidationError):
             nlls_solve(_line, np.array([1.0]), np.array([2.0]), (0.0, 0.0))
 
+    def test_model_only_evaluated_inside_the_box(self):
+        # the best slope, 2, lies beyond the upper bound of 1 and the offset's
+        # beyond its lower bound of -1, so the solve ends on both bounds,
+        # where forward steps must turn back into the box
+        seen = []
+
+        def model(x, p):
+            seen.append(p.copy())
+            return _line(x, p)
+
+        x = np.linspace(-1.0, 1.0, 9)
+        res = nlls_solve(model, x, -3.0 + 2.0 * x, (0.0, 0.5), bounds=[(-1.0, 1.0), (-1.0, 1.0)])
+        assert res["p0"] == pytest.approx(-1.0) and res["p1"] == pytest.approx(1.0)
+        seen = np.array(seen)
+        assert np.all((seen >= -1.0) & (seen <= 1.0))
+
     @pytest.mark.parametrize("where", ["y", "p0", "sigma"])
     def test_nan_input_rejected(self, where):
         x = np.linspace(0.0, 10.0, 12)
@@ -112,6 +134,156 @@ class TestSolver:
         {"y": y, "p0": p0, "sigma": sigma}[where][1] = np.nan
         with pytest.raises(hs.ValidationError):
             nlls_solve(_line, x, y, p0, sigma=sigma)
+
+
+def _mp_erfcx(z):
+    z = mpmath.mpf(float(z))
+    return mpmath.exp(z * z) * mpmath.erfc(z)
+
+
+def _mp_exp_conv_gauss(u, tau, sigma):
+    u, tau, sigma = (mpmath.mpf(float(v)) for v in (u, tau, sigma))
+    z = (sigma / tau - u / sigma) / mpmath.sqrt(2)
+    return mpmath.exp((sigma / tau) ** 2 / 2 - u / tau) * mpmath.erfc(z) / 2
+
+
+# erfcx's whole band in exp_conv_gauss, [-25, 25], and its far tail
+_ERFCX_Z = np.concatenate(
+    [
+        np.linspace(-25.0, 25.0, 2001),
+        np.random.default_rng(2).uniform(-25.0, 25.0, 500),
+        np.geomspace(25.0, 1e8, 200),
+    ]
+)
+
+
+class TestErfcx:
+    """The numpy erfcx to 1e-13 relative. On x >= 0 its Chebyshev series is
+    good to about 4e-16; for x < 0 the rounding of x*x in 2 exp(x^2) gives
+    up to x^2 * eps, 6e-14 at x = -25, as in scipy's erfcx."""
+
+    def test_matches_mpmath(self):
+        with mpmath.workdps(40):
+            ref = np.array([float(_mp_erfcx(z)) for z in _ERFCX_Z])
+        assert np.max(np.abs(_erfcx(_ERFCX_Z) / ref - 1.0)) <= 1e-13
+
+    def test_matches_scipy(self):
+        from scipy.special import erfcx
+
+        assert np.max(np.abs(_erfcx(_ERFCX_Z) / erfcx(_ERFCX_Z) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("tau,sigma", [(720.0, 34.0), (12000.0, 34.0), (100.0, 340.0)])
+    def test_exp_conv_gauss_matches_mpmath(self, tau, sigma):
+        # the closed form exp(s^2/2tau^2 - u/tau) erfc(z)/2, z = (s/tau - u/s)/sqrt 2,
+        # wherever erfcx's branch (|z| < 25) or the plain exponential (z <= -25)
+        # is taken; each of the code's two exponentials may carry |arg| * eps,
+        # up to 700 * eps, so the bound is 1e-12
+        u = np.linspace(-30.0 * sigma, 40.0 * tau, 1501)
+        z = (sigma / tau - u / sigma) / np.sqrt(2.0)
+        u = u[z < 25.0]
+        with mpmath.workdps(40):
+            ref = np.array([float(_mp_exp_conv_gauss(v, tau, sigma)) for v in u])
+        got = exp_conv_gauss(u, tau, sigma)
+        seen = ref > 1e-300
+        assert np.max(np.abs(got[seen] / ref[seen] - 1.0)) <= 1e-12
+
+
+def _scipy_trf(fun, x0, lo, hi):
+    from scipy.optimize import least_squares
+
+    sol = least_squares(fun, x0, bounds=(lo, hi), method="trf", x_scale="jac")
+    return sol.x, sol.fun, sol.jac, sol.njev, sol.status > 0
+
+
+def _readme_trace(seed):
+    """The README session's folded decay: its scenario at 1M pulses, 20 ps bins."""
+    train = dict(scenario_dict()["train"], n_pulses=1_000_000)
+    cfg = parse_scenario(json.dumps(scenario_dict(train=train)))
+    specs = (cfg.emitter1, cfg.emitter2, cfg.circuit, cfg.detector, cfg.train)
+    stream, _ = hs.run_simulation(*specs, seed)
+    trace = hs.timetrace(stream, cfg.train, bin_width_ps=20.0)
+    return trace.bin_centers_ps, trace.counts.astype(float)
+
+
+def _dip(tau, g0, tau_d, fwhm):
+    sig = fwhm / 2.3548200450309493
+    dip = exp_conv_gauss(tau, tau_d, sig) + exp_conv_gauss(-tau, tau_d, sig)
+    return 1.0 - (1.0 - g0) * dip
+
+
+def _lorentz(e, area, center, fwhm, base=0.0):
+    return base + (2.0 * area / np.pi) * fwhm / (4.0 * (e - center) ** 2 + fwhm**2)
+
+
+def _parity_cases():
+    rng = np.random.default_rng(41)
+    x12, x30 = np.linspace(0.0, 10.0, 12), np.linspace(0.0, 10.0, 30)
+    x60 = np.linspace(0.0, 12.0, 60)
+    sigma = rng.uniform(0.05, 0.5, x12.size)
+    y_line = 2.5 + 0.75 * x12 + rng.normal(0.0, sigma)
+    y_exp = _expdecay(x60, (10.0, 3.0)) + rng.normal(0.0, 0.05, x60.size)
+    tau = np.linspace(-6000.0, 6000.0, 601)
+    y_dip = _dip(tau, 0.15, 500.0, 80.0) + rng.normal(0.0, 0.01, tau.size)
+    e = np.linspace(-60.0, 60.0, 241)
+    y_line_shape = _lorentz(e, 100.0, 3.0, 16.5, 2.0) + rng.normal(0.0, 0.05, e.size)
+    th = np.arange(0.0, 360.0, 10.0)
+    y_malus = 100.0 * (1.0 + 0.8 * np.cos(2.0 * np.deg2rad(th - 30.0)))
+    y_malus += rng.normal(0.0, 2.0, th.size)
+    flat = np.linspace(0.0, 1.0, 10)
+    cases = {
+        "solver-exact-line": lambda: nlls_solve(_line, x12, 2.5 + 0.75 * x12, (0.0, 0.0)),
+        "solver-start-at-truth": lambda: nlls_solve(_expdecay, x30, np.exp(-x30 / 3.0), (1.0, 3.0)),
+        "solver-noisy-exponential": lambda: nlls_solve(
+            _expdecay, x60, y_exp, (8.0, 2.0), sigma=np.full(x60.size, 0.05)
+        ),
+        "solver-weighted-line": lambda: nlls_solve(_line, x12, y_line, (0.0, 0.0), sigma=sigma),
+        "solver-singular": lambda: nlls_solve(
+            lambda x, p: p[0] + 0.0 * p[1] + 0.0 * x, flat, np.full(10, 4.0), (1.0, 1.0)
+        ),
+        "solver-bounds": lambda: nlls_solve(
+            _expdecay, x30, 2.0 * np.exp(-x30 / 5.0), (1.0, 2.0), bounds=[(0.0, 10.0), (0.1, 4.0)]
+        ),
+        "g2cw": lambda: fit_g2cw(tau, y_dip, 80.0),
+        "g2cw-wide-irf": lambda: fit_g2cw(tau, _dip(tau, 0.10, 100.0, 800.0), 800.0),
+        "g2cw-flat": lambda: fit_g2cw(tau, np.ones_like(tau), 80.0),
+        "lorentzian": lambda: fit_lorentzian(e, y_line_shape),
+        "lorentzian-exact": lambda: fit_lorentzian(e, _lorentz(e, 100.0, 3.0, 16.5, 2.0)),
+        "dolp": lambda: calib.dolp(th, y_malus),
+    }
+    for seed in (20260815, 0, 1):
+        cases["decay-%d" % seed] = lambda seed=seed: fit_biexp_irf(*_readme_trace(seed), 80.0)
+    return cases
+
+
+_PARITY = _parity_cases()
+
+
+class TestScipyParity:
+    """The numpy solver against scipy's least_squares(method="trf",
+    x_scale="jac") on the same problem: the same status, and a cost no
+    higher than TRF's by more than 1e-9 of it. The 1e-20 added to that is
+    the round-off of an exact fit (TRF reads 0 on the exact line, this
+    solver 3e-30), far below every noisy cost here."""
+
+    @pytest.mark.parametrize("case", sorted(_PARITY))
+    def test_same_status_and_no_higher_cost(self, monkeypatch, case):
+        runs = []
+        for solver in (fitting._trf_least_squares, _scipy_trf):
+            calls = []
+
+            def recorded(fun, x0, lo, hi, solver=solver):
+                sol = solver(fun, x0, lo, hi)
+                calls.append((float(sol[1] @ sol[1]), bool(sol[4])))
+                return sol
+
+            with monkeypatch.context() as m:
+                m.setattr(fitting, "_trf_least_squares", recorded)
+                result = _PARITY[case]()
+            assert len(calls) == 1
+            runs.append((getattr(result, "status", None),) + calls[0])
+        (status, cost, converged), (status_trf, cost_trf, converged_trf) = runs
+        assert (status, converged) == (status_trf, converged_trf)
+        assert cost <= cost_trf * (1.0 + 1e-9) + 1e-20
 
 
 class TestBiexpFit:

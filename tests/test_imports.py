@@ -1,4 +1,4 @@
-"""Import cost: `import homsim` loads numpy only; scipy loads at first use."""
+"""Import cost: homsim imports no scipy, in any module or CLI command."""
 
 import json
 import subprocess
@@ -9,44 +9,24 @@ import numpy as np
 import homsim as hs
 from helpers import scenario_dict
 
-# Run in a fresh interpreter; after each step, record which scipy modules
-# are loaded. argv[1] is a small PTG1 file, argv[2] a scratch directory and
-# argv[3] a scenario with timing jitter and spectral diffusion; analyze-hom
-# reads the tag file that simulate writes.
+# Run in a fresh interpreter with scipy blocked, so that importing scipy or
+# any submodule raises and the probe exits non-zero; otherwise print the exit
+# code of each command of argv[1], a JSON list of argument lists.
 _PROBE = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-seen = {}
-import homsim
-seen["import homsim"] = scipy_modules()
+sys.modules["scipy"] = None
 import homsim.cli
-seen["import homsim.cli"] = scipy_modules()
-code = homsim.cli.main(
-    ["theory", "--t1-1", "720", "--t2-1", "100", "--t1-2", "600", "--t2-2", "440"]
-)
-seen["theory"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
-code = homsim.cli.main(
-    ["timetrace", "--tags", sys.argv[1], "--rep-rate-mhz", "76",
-     "--out", sys.argv[2] + "/trace.csv"]
-)
-seen["timetrace"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
-code = homsim.cli.main(
-    ["simulate", "--config", sys.argv[3], "--out", sys.argv[2] + "/sim.ptg1"]
-)
-seen["simulate"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
-code = homsim.cli.main(
-    ["analyze-hom", "--tags", sys.argv[2] + "/sim.ptg1", "--config", sys.argv[3],
-     "--out-prefix", sys.argv[2] + "/hom"]
-)
-seen["analyze-hom"] = scipy_modules() + ([] if code == 0 else ["exit %d" % code])
-print(json.dumps(seen))
+print(json.dumps([homsim.cli.main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def test_homsim_and_light_commands_load_no_scipy(tmp_path):
+def _write_xy(path, x, y):
+    path.write_text("".join("%.17g,%.17g\n" % xy for xy in zip(x, y)))
+    return str(path)
+
+
+def test_no_command_imports_scipy(tmp_path):
     times = np.cumsum(np.full(2000, 6581, dtype=np.int64))
     tags = tmp_path / "small.ptg1"
     hs.write_ptg1(tags, hs.TimeTagStream(times, (np.arange(times.size) % 2).astype(np.uint8)))
@@ -58,18 +38,37 @@ def test_homsim_and_light_commands_load_no_scipy(tmp_path):
     assert cfg["detector"]["irf_fwhm_ps"] > 0.0
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(cfg))
+    # data every fit command converges on, through the IRF-convolved models
+    rng = np.random.default_rng(3)
+    t = np.arange(0.0, 13160.0, 20.0)
+    decay = hs.fitting._biexp_model(t, (2e4, 800.0, 700.0, 9000.0, 0.03, 2.0), 34.0)
+    tau = np.linspace(-6000.0, 6000.0, 301)
+    dip = 1.0 - 0.85 * (hs.exp_conv_gauss(tau, 500.0, 34.0) + hs.exp_conv_gauss(-tau, 500.0, 34.0))
+    e = np.linspace(-60.0, 60.0, 121)
+    line = 2.0 + 200.0 / np.pi * 16.5 / (4.0 * (e - 3.0) ** 2 + 16.5**2)
+    angles = np.arange(0.0, 360.0, 10.0)
+    malus = 100.0 * (1.0 + 0.8 * np.cos(np.deg2rad(2.0 * (angles - 30.0))))
+    d = str(tmp_path)
+    decay_csv = _write_xy(tmp_path / "decay.csv", t, rng.poisson(decay))
+    dip_csv = _write_xy(tmp_path / "g2.csv", tau, dip + rng.normal(0.0, 0.01, tau.size))
+    line_csv = _write_xy(tmp_path / "line.csv", e, line + rng.normal(0.0, 0.05, e.size))
+    sweep_csv = _write_xy(tmp_path / "dolp.csv", angles, malus + rng.normal(0.0, 1.0, angles.size))
+    commands = [
+        ["theory", "--t1-1", "720", "--t2-1", "100", "--t1-2", "600", "--t2-2", "440"],
+        ["timetrace", "--tags", str(tags), "--rep-rate-mhz", "76", "--out", d + "/trace.csv"],
+        ["simulate", "--config", str(scenario), "--out", d + "/sim.ptg1"],
+        ["analyze-hom", "--tags", d + "/sim.ptg1", "--config", str(scenario),
+         "--out-prefix", d + "/hom"],
+        ["fit-decay", "--data", decay_csv, "--irf-fwhm-ps", "80"],
+        ["fit-g2cw", "--data", dip_csv, "--irf-fwhm-ps", "80"],
+        ["fit-lorentzian", "--data", line_csv],
+        ["calib-dolp", "--data", sweep_csv],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tags), str(tmp_path), str(scenario)],
+        [sys.executable, "-c", _PROBE, json.dumps(commands)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {
-        "import homsim": [],
-        "import homsim.cli": [],
-        "theory": [],
-        "timetrace": [],
-        "simulate": [],
-        "analyze-hom": [],
-    }
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert dict(zip([argv[0] for argv in commands], codes)) == {argv[0]: 0 for argv in commands}
