@@ -17,7 +17,6 @@ from .config import (
     load_scenario,
     parse_scenario,
     scenario_to_dict,
-    scenario_to_json,
 )
 from .correlate import (
     CorrelationHistogram,
@@ -25,7 +24,6 @@ from .correlate import (
     Timetrace,
     cross_correlate,
     estimate_background,
-    estimate_delay,
     hom_visibility,
     integrate_peaks,
     timetrace,
@@ -59,7 +57,6 @@ from .model import (
     PulseTrainSpec,
     ValidationError,
     detuning_to_angular,
-    linewidth_from_t2,
     t2_from_linewidth,
 )
 from .simulate import (
@@ -99,7 +96,6 @@ __all__ = [
     "dolp",
     "envelope_cross_correlation",
     "estimate_background",
-    "estimate_delay",
     "exp_conv_gauss",
     "fit_biexp_irf",
     "fit_g2cw",
@@ -108,7 +104,6 @@ __all__ = [
     "fringe_visibility",
     "hom_visibility",
     "integrate_peaks",
-    "linewidth_from_t2",
     "load_scenario",
     "nlls_solve",
     "outcoupling_imbalance",
@@ -118,7 +113,6 @@ __all__ = [
     "read_ptg1",
     "run_simulation",
     "scenario_to_dict",
-    "scenario_to_json",
     "splitting_ratio",
     "t2_from_linewidth",
     "timetrace",

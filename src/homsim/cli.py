@@ -21,6 +21,7 @@ from .formats import (
     read_ptg1,
     read_xy_csv,
     write_histogram_csv,
+    write_peaks_csv,
     write_ptg1,
     write_report,
     write_timetrace_csv,
@@ -138,12 +139,6 @@ def _cmd_simulate(args) -> None:
         )
 
 
-def _peak_spans(peaks):
-    half = peaks.delta_t_ps / 2.0
-    centers = [k * peaks.period_ps + peaks.delay_ps for k in peaks.k_values.tolist()]
-    return [(c - half, c + half) for c in centers]
-
-
 def _cmd_analyze_hom(args) -> None:
     cfg = load_scenario(args.config)
     ana = cfg.analysis
@@ -176,15 +171,11 @@ def _cmd_analyze_hom(args) -> None:
     hist_csv = args.out_prefix + "_hist.csv"
     write_histogram_csv(hist_csv, hist)
     svg_path = args.out_prefix + "_hist.svg"
-    histogram_svg(svg_path, hist, peak_spans=_peak_spans(headline))
+    half = headline.delta_t_ps / 2.0
+    centers = correlate._peak_centers(period, args.comb_offset_ps, headline.k_values).tolist()
+    histogram_svg(svg_path, hist, peak_spans=[(c - half, c + half) for c in centers])
     peaks_csv = args.out_prefix + "_peaks.csv"
-    with open(peaks_csv, "w") as fh:
-        fh.write("# period_ps=%g\n# delta_t_ps=%g\n" % (period, ana.delta_t_ps))
-        fh.write("# k,area_raw,area_corrected,poisson_error\n")
-        for k, a_r, a_c, err in zip(
-            table_raw.k_values, table_raw.areas, table_corr.areas, table_raw.area_errors
-        ):
-            fh.write("%d,%g,%g,%g\n" % (k, a_r, a_c, err))
+    write_peaks_csv(peaks_csv, table_raw, table_corr)
 
     report = {
         "g2_raw": raw.g2_zero,

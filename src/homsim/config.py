@@ -163,10 +163,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return asdict(cfg, dict_factory=_lists_for_tuples)
 
 
-def scenario_to_json(cfg: ScenarioConfig) -> str:
-    return json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-
-
 def config_digest(cfg: ScenarioConfig) -> str:
     """Stable SHA-256 over the canonical JSON form."""
     canonical = json.dumps(

@@ -330,6 +330,8 @@ def hom_visibility(g_delayed, g_synced, err_delayed: float = 0.0, err_synced: fl
     if hasattr(g_synced, "g2_zero"):
         err_synced = g_synced.g2_zero_err
         g_synced = g_synced.g2_zero
+    if not all(map(math.isfinite, (g_delayed, g_synced, err_delayed, err_synced))):
+        raise ValidationError("ratios and their errors must be finite")
     if g_delayed <= 0:
         raise ValidationError("delayed-reference ratio must be > 0")
     if g_synced < 0:
@@ -384,33 +386,3 @@ def timetrace(
         channel=channel,
     )
 
-
-def estimate_delay(trace_a: Timetrace, trace_b: Timetrace) -> float:
-    """Delay of trace B relative to trace A via circular cross-correlation.
-
-    The integer-bin peak of the circular correlation is refined by
-    parabolic interpolation; the result is mapped to (-period/2, period/2].
-    Structureless (flat) traces raise an estimation error.
-    """
-    if trace_b.bin_width_ps != trace_a.bin_width_ps:
-        raise ValidationError("traces must share the same bin width")
-    a = np.asarray(trace_a.counts, dtype=float)
-    b = np.asarray(trace_b.counts, dtype=float)
-    if a.size != b.size:
-        raise ValidationError("traces must cover the same period with equal bins")
-    if a.size < 4:
-        raise ValidationError("traces too short for delay estimation")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise EstimationError("flat trace: no structure to estimate a delay from")
-    a = a - a.mean()
-    b = b - b.mean()
-    corr = np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(b), n=a.size)
-    k = int(np.argmax(corr))
-    n = a.size
-    y0, y1, y2 = corr[(k - 1) % n], corr[k], corr[(k + 1) % n]
-    denom = y0 - 2.0 * y1 + y2
-    frac = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-    shift = k + frac
-    if shift > n / 2.0:
-        shift -= n
-    return float(shift * trace_a.bin_width_ps)

@@ -392,10 +392,10 @@ def exp_conv_gauss(u, tau: float, sigma: float):
     stably via the scaled complementary error function.
     """
     u = np.asarray(u, dtype=float)
-    if tau <= 0:
-        raise ValidationError("decay constant must be strictly positive")
-    if sigma < 0:
-        raise ValidationError("sigma must be >= 0")
+    if not tau > 0:
+        raise ValidationError("decay constant must be strictly positive, got %r" % (tau,))
+    if not 0 <= sigma < np.inf:
+        raise ValidationError("IRF sigma must be finite and >= 0, got %r" % (sigma,))
     if sigma == 0.0:
         out = np.where(u >= 0.0, np.exp(-np.clip(u, 0.0, None) / tau), 0.0)
         return out if out.ndim else float(out)
@@ -569,8 +569,8 @@ def fit_lorentzian(energy_uev: np.ndarray, y: np.ndarray) -> FitResult:
 
 def deconvolve_lorentzian(measured_fwhm_uev: float, instrument_fwhm_uev: float) -> float:
     """Intrinsic Lorentzian width: widths of Lorentzians add under convolution."""
-    if instrument_fwhm_uev < 0:
-        raise ValidationError("instrument width must be >= 0")
+    if not (0 <= instrument_fwhm_uev < np.inf and np.isfinite(measured_fwhm_uev)):
+        raise ValidationError("instrument width must be finite and >= 0, measured width finite")
     if measured_fwhm_uev <= instrument_fwhm_uev:
         raise ValidationError(
             "measured width %.4g must exceed the instrument width %.4g"

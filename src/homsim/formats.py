@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .correlate import CorrelationHistogram, Timetrace
+from .correlate import CorrelationHistogram, PeakAnalysis, Timetrace
 from .model import ValidationError
 from .simulate import TAG_CLOCK_PS, TimeTagStream
 
@@ -27,7 +27,7 @@ PTG1_VERSION = 1
 _HEADER = struct.Struct("<4sHQQ")
 _RECORD_DTYPE = np.dtype([("time", "<u8"), ("channel", "u1"), ("reserved", "u1", (7,))])
 assert _RECORD_DTYPE.itemsize == 16
-_SLICE_RECORDS = 1 << 16  # records written or read per slice
+_SLICE_RECORDS = 1 << 16  # records or CSV rows written or read per slice
 
 
 def write_ptg1(path, stream: TimeTagStream) -> None:
@@ -110,53 +110,73 @@ def read_ptg1(path) -> TimeTagStream:
     return TimeTagStream(times_ps=times, channels=channels)
 
 
-def write_histogram_csv(path, hist: CorrelationHistogram) -> None:
-    edges = hist.bin_edges_ps[:-1]
+def _number_format(values) -> str:
+    """%g where it reads back as each of values exactly, else %r (repr): one
+    format for a column, so that every row costs one format call."""
+    values = np.asarray(values, dtype=float).ravel()
+    for i in range(0, values.size, _SLICE_RECORDS):
+        part = values[i : i + _SLICE_RECORDS]
+        if not np.array_equal(np.array(["%g" % v for v in part.tolist()], dtype=float), part):
+            return "%r"
+    return "%g"
+
+
+def _write_csv(path, header: dict, columns, names=None) -> None:
+    """Header lines "# key=value", then "# names" if given, then one row per entry
+    of the columns: integer columns as %d, each float column and header
+    value in its _number_format, so that every number reads back exactly."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else _number_format(c) for c in columns) + "\n"
     with open(path, "w") as fh:
-        fh.write("# bin_width_ps=%g\n" % hist.bin_width_ps)
-        fh.write("# window_ps=%g\n" % hist.window_ps)
-        for start, c in zip(edges, hist.counts):
-            fh.write("%g,%d\n" % (start, c))
+        for key, value in header.items():
+            fh.write("# %s=%s\n" % (key, _number_format(value) % float(value)))
+        if names:
+            fh.write("# %s\n" % ",".join(names))
+        for i in range(0, len(columns[0]), _SLICE_RECORDS):
+            rows = zip(*(c[i : i + _SLICE_RECORDS].tolist() for c in columns))
+            fh.writelines(row % values for values in rows)
 
 
-def read_histogram_csv(path) -> CorrelationHistogram:
-    meta = read_csv_header(path)
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if "bin_width_ps" not in meta or "window_ps" not in meta:
-        raise ValidationError(
-            "histogram CSV must carry '# bin_width_ps=' and '# window_ps=' headers"
-        )
-    return CorrelationHistogram(
-        bin_width_ps=float(meta["bin_width_ps"]),
-        window_ps=float(meta["window_ps"]),
-        counts=data[:, 1].astype(np.int64),
-    )
+def write_histogram_csv(path, hist: CorrelationHistogram) -> None:
+    header = {"bin_width_ps": hist.bin_width_ps, "window_ps": hist.window_ps}
+    _write_csv(path, header, (hist.bin_edges_ps[:-1], hist.counts))
 
 
 def write_timetrace_csv(path, trace: Timetrace) -> None:
-    with open(path, "w") as fh:
-        fh.write("# bin_width_ps=%g\n" % trace.bin_width_ps)
-        fh.write("# period_ps=%g\n" % trace.period_ps)
-        if trace.channel is not None:
-            fh.write("# channel=%d\n" % trace.channel)
-        for i, c in enumerate(trace.counts):
-            fh.write("%g,%d\n" % (i * trace.bin_width_ps, c))
+    header = {"bin_width_ps": trace.bin_width_ps, "period_ps": trace.period_ps}
+    if trace.channel is not None:
+        header["channel"] = trace.channel
+    _write_csv(path, header, (np.arange(trace.n_bins) * trace.bin_width_ps, trace.counts))
+
+
+def write_peaks_csv(path, raw: PeakAnalysis, corrected: PeakAnalysis) -> None:
+    """The comb's peak areas, raw and floor-corrected, with the Poisson
+    errors of the raw areas."""
+    header = {"period_ps": raw.period_ps, "delta_t_ps": raw.delta_t_ps}
+    columns = (raw.k_values, raw.areas, corrected.areas, raw.area_errors)
+    _write_csv(path, header, columns, names=("k", "area_raw", "area_corrected", "poisson_error"))
+
+
+def _read_counts_csv(path, kind: str, keys) -> tuple[dict, np.ndarray]:
+    """The header of a CSV written by _write_csv, which must hold keys, and
+    its column of counts."""
+    meta = read_csv_header(path)
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if not all(key in meta for key in keys):
+        raise ValidationError(
+            "%s CSV must carry %s headers" % (kind, " and ".join("'# %s='" % k for k in keys))
+        )
+    return meta, data[:, 1].astype(np.int64)
+
+
+def read_histogram_csv(path) -> CorrelationHistogram:
+    meta, counts = _read_counts_csv(path, "histogram", ("bin_width_ps", "window_ps"))
+    return CorrelationHistogram(float(meta["bin_width_ps"]), float(meta["window_ps"]), counts)
 
 
 def read_timetrace_csv(path) -> Timetrace:
-    meta = read_csv_header(path)
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if "bin_width_ps" not in meta or "period_ps" not in meta:
-        raise ValidationError(
-            "timetrace CSV must carry '# bin_width_ps=' and '# period_ps=' headers"
-        )
+    meta, counts = _read_counts_csv(path, "timetrace", ("bin_width_ps", "period_ps"))
     channel = int(meta["channel"]) if "channel" in meta else None
-    return Timetrace(
-        bin_width_ps=float(meta["bin_width_ps"]),
-        period_ps=float(meta["period_ps"]),
-        counts=data[:, 1].astype(np.int64),
-        channel=channel,
-    )
+    return Timetrace(float(meta["bin_width_ps"]), float(meta["period_ps"]), counts, channel)
 
 
 def read_csv_header(path) -> dict:

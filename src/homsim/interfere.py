@@ -87,15 +87,12 @@ def visibility_closed_form(
     emission-time difference minus the delay) and the detuning delta_uev,
     by default the emitters' energy difference (1 minus 2):
 
-        V = pol * c * Re[1/(g1+A) + 1/(g2+A)],   c = g1*g2/(g1+g2),
-        A = (gs1 + gs2) + i * delta_omega
-
-    at zero delay, and for a delay d > 0
-
         V = pol * c * Re[e^(-Ad)/(g2+A) + (e^(-g1 d) - e^(-Ad))/(A-g1)
                          + e^(-g1 d)/(g1+A)],
+        c = g1*g2/(g1+g2),   A = (gs1 + gs2) + i * delta_omega
 
-    the middle term tending to d*e^(-g1 d) as A -> g1. A negative delay
+    for a delay d >= 0, the middle term tending to d*e^(-g1 d) as A -> g1.
+    At d = 0 it is pol * c * Re[1/(g1+A) + 1/(g2+A)]. A negative delay
     swaps the roles of the two emitters. For identical emitters at zero
     detuning and zero delay this reduces to T2 / (2 T1). Each c/(g_i+A) is
     evaluated as (T1_i/(T1_1+T1_2)) / (1 + A*T1_i), a ratio bounded by one
@@ -110,23 +107,20 @@ def visibility_closed_form(
     a = (e1.pure_dephasing_rate + e2.pure_dephasing_rate) + 1j * detuning_to_angular(delta_uev)
     term1 = _weighted(1.0 / (1.0 + t1b / t1a), 1.0 + a * t1a)
     term2 = _weighted(1.0 / (1.0 + t1a / t1b), 1.0 + a * t1b)
-    if delay_ps == 0.0:
-        val = term1 + term2
+    g1 = 1.0 / t1a
+    d = abs(delay_ps)
+    if np.isfinite(a * d):
+        # the slower-decaying exponential is factored out, so nothing overflows
+        slow, fast = (g1, a) if a.real >= g1 else (a, g1)
+        middle = d * np.exp(-slow * d) * _exprel((slow - fast) * d) / (t1a + t1b)
+        val = np.exp(-a * d) * term2 + middle + np.exp(-g1 * d) * term1
     else:
-        g1 = 1.0 / t1a
-        d = abs(delay_ps)
-        if np.isfinite(a * d):
-            # the slower-decaying exponential is factored out, so nothing overflows
-            slow, fast = (g1, a) if a.real >= g1 else (a, g1)
-            middle = d * np.exp(-slow * d) * _exprel((slow - fast) * d) / (t1a + t1b)
-            val = np.exp(-a * d) * term2 + middle + np.exp(-g1 * d) * term1
-        else:
-            # A*d overflows: the e^(-Ad) terms vanish or have no computable
-            # phase. Their coefficients sum to -g1*g2/((g2+A)(A-g1)), of modulus
-            # below d^2/(3e616*T1_1*T1_2), so they are dropped. A = g1 only
-            # where g1*d overflows too, and then e^(-g1 d) = 0.
-            decay = math.exp(-g1 * d)
-            val = decay * (term1 + _weighted(1.0, (a - g1) * (t1a + t1b))) if decay else 0j
+        # A*d overflows or A is infinite: the e^(-Ad) terms vanish or have no
+        # computable phase. Their coefficients sum to -g1*g2/((g2+A)(A-g1)), of
+        # modulus below d^2/(3e616*T1_1*T1_2), so they are dropped. A = g1 only
+        # where g1*d overflows too, and then e^(-g1 d) = 0.
+        decay = math.exp(-g1 * d)
+        val = decay * (term1 + _weighted(1.0, (a - g1) * (t1a + t1b))) if decay else 0j
     return float(pol_overlap * val.real)
 
 

@@ -45,17 +45,11 @@ def _require_finite(spec) -> None:
 
 
 def t2_from_linewidth(linewidth_uev: float) -> float:
-    """Coherence time (ps) of a Lorentzian line of the given FWHM (ueV)."""
+    """Coherence time (ps) of a Lorentzian line of the given FWHM (ueV), or the
+    FWHM of a given coherence time: 2*hbar/x is its own inverse."""
     if not linewidth_uev > 0:
         raise ValidationError("linewidth must be positive, got %r" % (linewidth_uev,))
     return 2.0 * HBAR_UEV_PS / linewidth_uev
-
-
-def linewidth_from_t2(t2_ps: float) -> float:
-    """Lorentzian FWHM (ueV) of an emitter with coherence time t2 (ps)."""
-    if not t2_ps > 0:
-        raise ValidationError("t2 must be positive, got %r" % (t2_ps,))
-    return 2.0 * HBAR_UEV_PS / t2_ps
 
 
 def detuning_to_angular(delta_uev: float) -> float:

@@ -439,6 +439,16 @@ class TestFitCommands:
         assert intrinsic == pytest.approx(13.5, rel=1e-6)
         assert t2 == pytest.approx(97.51288250370371, rel=1e-5)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_instrument_width_exits_2_naming_it(self, run, tmp_path, value):
+        x = np.linspace(-60.0, 60.0, 241)
+        y = 1000.0 * (16.5 / (2 * np.pi)) / (x**2 + (16.5 / 2.0) ** 2) + 5.0
+        p = write_xy(tmp_path, x, y)
+        code, out, err = run("fit-lorentzian", "--data", p, "--instrument-fwhm-uev", value)
+        assert code == 2
+        assert err.startswith("error:") and "instrument width" in err
+        assert "intrinsic_fwhm_uev" not in out
+
     def test_nan_sample_exits_2(self, run, tmp_path):
         tau = np.arange(-3000.0, 3000.0, 20.0)
         y = 1.0 - 0.8 * np.exp(-np.abs(tau) / 800.0)
@@ -459,6 +469,8 @@ class TestFitCommands:
 _FRINGE_X = np.arange(20.0)
 _LOSS_X = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 _ANGLES = np.arange(0.0, 360.0, 20.0)
+_DECAY_X = np.arange(0.0, 4000.0, 20.0)
+_DIP_X = np.arange(-3000.0, 3000.0, 20.0)
 
 
 def _with(values, i, bad):
@@ -494,6 +506,16 @@ _NON_FINITE_CASES = {
     "fit-decay-one-row": (["fit-decay", "--data", "{data}", "--irf-fwhm-ps", "80"],
                           ([1.0], [2.0]), None),
     "fit-lorentzian-one-row": (["fit-lorentzian", "--data", "{data}"], ([1.0], [2.0]), None),
+    **{
+        "fit-decay-irf-" + v: (["fit-decay", "--data", "{data}", "--irf-fwhm-ps", v],
+                               (_DECAY_X, 1000.0 * np.exp(-_DECAY_X / 700.0) + 5.0), None)
+        for v in ("nan", "inf")
+    },
+    **{
+        "fit-g2cw-irf-" + v: (["fit-g2cw", "--data", "{data}", "--irf-fwhm-ps", v],
+                              (_DIP_X, 1.0 - 0.8 * np.exp(-np.abs(_DIP_X) / 800.0)), None)
+        for v in ("nan", "inf")
+    },
     "calib-splitter-inf": (["calib-splitter", "inf", "1", "1", "1"], None, None),
     **{
         "calib-fringe-" + str(bad): (["calib-fringe", "--data", "{data}"],

@@ -11,7 +11,6 @@ from homsim.config import (
     load_scenario,
     parse_scenario,
     scenario_to_dict,
-    scenario_to_json,
 )
 
 
@@ -67,7 +66,7 @@ def parse_dict(d):
 class TestRoundTrip:
     def test_parse_emit_parse_is_identity(self):
         cfg = parse_dict(base_dict())
-        again = parse_scenario(scenario_to_json(cfg))
+        again = parse_scenario(json.dumps(scenario_to_dict(cfg)))
         assert again == cfg
 
     def test_every_field_survives(self):

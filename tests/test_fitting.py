@@ -187,6 +187,17 @@ class TestErfcx:
         seen = ref > 1e-300
         assert np.max(np.abs(got[seen] / ref[seen] - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "tau,sigma",
+        [(np.nan, 34.0), (0.0, 34.0), (-1.0, 34.0), (720.0, np.nan), (720.0, np.inf),
+         (720.0, -1.0)],
+    )
+    def test_exp_conv_gauss_rejects_a_bad_decay_or_width(self, tau, sigma):
+        # NaN passes a "tau <= 0" or "sigma < 0" check, and a NaN or
+        # infinite sigma would make the decay term exactly 0
+        with pytest.raises(hs.ValidationError):
+            exp_conv_gauss(np.linspace(-100.0, 100.0, 5), tau, sigma)
+
 
 def _scipy_trf(fun, x0, lo, hi):
     from scipy.optimize import least_squares
@@ -403,3 +414,11 @@ class TestDeconvolve:
     def test_narrower_than_instrument_rejected(self):
         with pytest.raises(hs.ValidationError):
             hs.deconvolve_lorentzian(2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "measured,instrument",
+        [(10.0, np.nan), (10.0, np.inf), (np.nan, 3.0), (np.inf, 3.0), (np.nan, np.nan)],
+    )
+    def test_non_finite_width_rejected(self, measured, instrument):
+        with pytest.raises(hs.ValidationError):
+            hs.deconvolve_lorentzian(measured, instrument)

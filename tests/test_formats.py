@@ -218,6 +218,57 @@ class TestTimetraceCsv:
             formats.read_timetrace_csv(p)
 
 
+class TestCsvNumbers:
+    """Every number reads back exactly: a column is written %g where that
+    is exact for all of its values, and as repr otherwise."""
+
+    def test_exact_columns_keep_their_g_form(self, tmp_path):
+        p = tmp_path / "hist.csv"
+        formats.write_histogram_csv(p, hs.CorrelationHistogram(50.0, 500.0, np.arange(20)))
+        assert p.read_text().splitlines()[:4] == [
+            "# bin_width_ps=50", "# window_ps=500", "-500,0", "-450,1"
+        ]
+
+    def test_period_of_a_76_mhz_train_round_trips(self, tmp_path):
+        train = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=1)
+        tr = hs.Timetrace(
+            bin_width_ps=20.0,
+            period_ps=train.period_ps,
+            counts=np.arange(658, dtype=np.int64),
+            channel=0,
+        )
+        p = tmp_path / "trace.csv"
+        formats.write_timetrace_csv(p, tr)
+        back = formats.read_timetrace_csv(p)
+        assert back.period_ps == tr.period_ps == 13157.894736842105
+        assert back.bin_width_ps == 20.0 and back.channel == 0
+        assert np.array_equal(back.counts, tr.counts)
+        assert p.read_text().splitlines()[3] == "0,0"
+
+    def test_peak_areas_and_errors_round_trip(self, tmp_path):
+        period = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=1).period_ps
+        hist = hs.CorrelationHistogram(10.0, 80000.0, np.full(16000, 4001, dtype=np.int64))
+        raw = hs.integrate_peaks(hist, period, n_side=10)
+        corrected = hs.integrate_peaks(hist, period, n_side=10, floor=0.3, corrected=True)
+        assert np.all(raw.areas >= 1e6)
+        p = tmp_path / "peaks.csv"
+        formats.write_peaks_csv(p, raw, corrected)
+        assert float(formats.read_csv_header(p)["period_ps"]) == period
+        k, area_raw, area_corr, err = np.loadtxt(p, delimiter=",", unpack=True)
+        assert np.array_equal(k, raw.k_values)
+        assert np.array_equal(area_raw, raw.areas)
+        assert np.array_equal(area_corr, corrected.areas)
+        assert np.array_equal(err, raw.area_errors)
+
+    def test_every_delay_of_a_fine_wide_histogram_is_distinct(self, tmp_path):
+        hist = hs.CorrelationHistogram(2.5, 2e6, np.zeros(1_600_000, dtype=np.int64))
+        p = tmp_path / "hist.csv"
+        formats.write_histogram_csv(p, hist)
+        delays = np.loadtxt(p, delimiter=",", usecols=0)
+        assert np.array_equal(delays, hist.bin_edges_ps[:-1])
+        assert np.unique(delays).size == 1_600_000
+
+
 class TestXyCsv:
     def test_reads_two_columns_with_comments(self, tmp_path):
         p = tmp_path / "xy.csv"

@@ -53,8 +53,13 @@ def test_no_command_imports_scipy(tmp_path):
     dip_csv = _write_xy(tmp_path / "g2.csv", tau, dip + rng.normal(0.0, 0.01, tau.size))
     line_csv = _write_xy(tmp_path / "line.csv", e, line + rng.normal(0.0, 0.05, e.size))
     sweep_csv = _write_xy(tmp_path / "dolp.csv", angles, malus + rng.normal(0.0, 1.0, angles.size))
+    phase = np.linspace(0.0, 4.0 * np.pi, 200)
+    fringe_csv = _write_xy(tmp_path / "fringe.csv", phase, 1.0 + 0.9 * np.cos(phase))
+    mm = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    cutback_csv = _write_xy(tmp_path / "cutback.csv", mm, 10.0 ** (-0.3 * mm / 10.0))
     commands = [
         ["theory", "--t1-1", "720", "--t2-1", "100", "--t1-2", "600", "--t2-2", "440"],
+        ["correlate", "--tags", str(tags), "--out", d + "/corr.csv"],
         ["timetrace", "--tags", str(tags), "--rep-rate-mhz", "76", "--out", d + "/trace.csv"],
         ["simulate", "--config", str(scenario), "--out", d + "/sim.ptg1"],
         ["analyze-hom", "--tags", d + "/sim.ptg1", "--config", str(scenario),
@@ -62,6 +67,9 @@ def test_no_command_imports_scipy(tmp_path):
         ["fit-decay", "--data", decay_csv, "--irf-fwhm-ps", "80"],
         ["fit-g2cw", "--data", dip_csv, "--irf-fwhm-ps", "80"],
         ["fit-lorentzian", "--data", line_csv],
+        ["calib-splitter", "51", "49", "46", "54"],
+        ["calib-fringe", "--data", fringe_csv, "--mode", "clipped"],
+        ["calib-loss", "--data", cutback_csv],
         ["calib-dolp", "--data", sweep_csv],
     ]
     proc = subprocess.run(

@@ -1,10 +1,12 @@
 """Coherence kernel, closed-form visibility, quadrature cross-check."""
 
+import cmath
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -171,6 +173,33 @@ class TestClosedFormVisibility:
                     warnings.simplefilter("error")
                     v = hs.visibility_closed_form(e1, e2, delta, 1.0, delay_ps=d)
                 assert np.isfinite(v) and abs(v) <= 1.0
+
+    @given(
+        t1=st.tuples(*[st.floats(min_value=1e-300, max_value=1e308)] * 2),
+        t2_over_t1=st.tuples(*[st.floats(min_value=1e-9, max_value=2.0)] * 2),
+        delta=st.floats(min_value=-1.7e308, max_value=1.7e308),
+        pol=st.floats(min_value=0.0, max_value=1.0),
+        delay=st.sampled_from([0.0, -0.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_zero_delay_is_the_sum_of_the_two_lifetime_terms_bit_for_bit(
+        self, t1, t2_over_t1, delta, pol, delay
+    ):
+        # the delay formula at d = 0 against pol * Re[c/(g1+A) + c/(g2+A)],
+        # each term as (T1_i/(T1_1+T1_2)) / (1 + A*T1_i), over the ranges of
+        # the overflow guards above; the sign of a zero counts too
+        t2 = [r * t for r, t in zip(t2_over_t1, t1)]
+        assume(all(0.0 < x < np.inf and 1.0 / x < np.inf for x in t2))
+        e1, e2 = (make_emitter(t1_fast_ps=t, t1_slow_ps=t, t2_ps=s) for t, s in zip(t1, t2))
+        a = e1.pure_dephasing_rate + e2.pure_dephasing_rate + 1j * hs.detuning_to_angular(delta)
+
+        def term(own, other):
+            weight, denom = 1.0 / (1.0 + other / own), 1.0 + a * own
+            return weight / denom if weight and cmath.isfinite(denom) else 0j
+
+        expected = float(pol * (term(*t1) + term(*t1[::-1])).real)
+        got = hs.visibility_closed_form(e1, e2, delta, pol, delay_ps=delay)
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
 
     def test_quadrature_agrees_with_closed_form_at_reference_point(self):
         e1, e2 = emitter_short_t2(), emitter_long_t2()
