@@ -17,8 +17,8 @@ import numpy as np
 from . import calib, correlate, fitting, interfere, model, simulate
 from .config import config_digest, load_scenario
 from .formats import (
-    read_csv_header,
     read_ptg1,
+    read_timetrace_xy,
     read_xy_csv,
     write_histogram_csv,
     write_peaks_csv,
@@ -240,16 +240,8 @@ def _finish_fit(res, out_path) -> None:
         write_report(out_path, res.as_dict())
 
 
-def _load_trace_xy(path):
-    x, y = read_xy_csv(path)
-    meta = read_csv_header(path)
-    if "bin_width_ps" in meta:
-        x = x + float(meta["bin_width_ps"]) / 2.0
-    return x, y
-
-
 def _cmd_fit_decay(args) -> None:
-    x, y = _load_trace_xy(args.data)
+    x, y = read_timetrace_xy(args.data)
     res = fitting.fit_biexp_irf(x, y, args.irf_fwhm_ps)
     _finish_fit(res, args.out)
 
@@ -263,9 +255,10 @@ def _cmd_fit_g2cw(args) -> None:
 def _cmd_fit_lorentzian(args) -> None:
     x, y = read_xy_csv(args.data)
     res = fitting.fit_lorentzian(x, y)
+    width = args.instrument_fwhm_uev
+    intrinsic = None if width is None else fitting.deconvolve_lorentzian(res["fwhm"], width)
     _finish_fit(res, args.out)
-    if args.instrument_fwhm_uev is not None:
-        intrinsic = fitting.deconvolve_lorentzian(res["fwhm"], args.instrument_fwhm_uev)
+    if intrinsic is not None:
         print("intrinsic_fwhm_uev = %.6g" % intrinsic)
         print("t2_ps = %.6g" % model.t2_from_linewidth(intrinsic))
 

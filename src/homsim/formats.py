@@ -148,35 +148,27 @@ def write_timetrace_csv(path, trace: Timetrace) -> None:
     _write_csv(path, header, (np.arange(trace.n_bins) * trace.bin_width_ps, trace.counts))
 
 
+def read_timetrace_xy(path) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of a timetrace CSV: x is each bin's left edge, moved to its centre
+    by a "# bin_width_ps=" header; a file without that header is read as it stands."""
+    x, y = read_xy_csv(path)
+    bw = read_csv_header(path).get("bin_width_ps")
+    if bw is not None:
+        try:
+            if not 0.0 < float(bw) < np.inf:
+                raise ValueError
+        except ValueError:
+            raise ValidationError("%s: bin_width_ps=%s is not positive and finite" % (path, bw))
+        x = x + float(bw) / 2.0
+    return x, y
+
+
 def write_peaks_csv(path, raw: PeakAnalysis, corrected: PeakAnalysis) -> None:
     """The comb's peak areas, raw and floor-corrected, with the Poisson
     errors of the raw areas."""
     header = {"period_ps": raw.period_ps, "delta_t_ps": raw.delta_t_ps}
     columns = (raw.k_values, raw.areas, corrected.areas, raw.area_errors)
     _write_csv(path, header, columns, names=("k", "area_raw", "area_corrected", "poisson_error"))
-
-
-def _read_counts_csv(path, kind: str, keys) -> tuple[dict, np.ndarray]:
-    """The header of a CSV written by _write_csv, which must hold keys, and
-    its column of counts."""
-    meta = read_csv_header(path)
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if not all(key in meta for key in keys):
-        raise ValidationError(
-            "%s CSV must carry %s headers" % (kind, " and ".join("'# %s='" % k for k in keys))
-        )
-    return meta, data[:, 1].astype(np.int64)
-
-
-def read_histogram_csv(path) -> CorrelationHistogram:
-    meta, counts = _read_counts_csv(path, "histogram", ("bin_width_ps", "window_ps"))
-    return CorrelationHistogram(float(meta["bin_width_ps"]), float(meta["window_ps"]), counts)
-
-
-def read_timetrace_csv(path) -> Timetrace:
-    meta, counts = _read_counts_csv(path, "timetrace", ("bin_width_ps", "period_ps"))
-    channel = int(meta["channel"]) if "channel" in meta else None
-    return Timetrace(float(meta["bin_width_ps"]), float(meta["period_ps"]), counts, channel)
 
 
 def read_csv_header(path) -> dict:

@@ -78,8 +78,8 @@ class TimeTagStream:
     """Detector output: channel/time records sorted by time.
 
     times_ps are integer picoseconds in [0, TAG_CLOCK_PS); channels are
-    0/1. seed and config_digest carry provenance when produced by a
-    simulation.
+    0/1. run_simulation sets seed; config_digest stays None until the tag
+    file carries provenance (ROADMAP item 7).
     """
 
     times_ps: np.ndarray

@@ -1,5 +1,5 @@
 """The public namespace: every exported name exists, once, in order, and
-has a use outside the tests."""
+every exported or public name of the package has a use outside the tests."""
 
 import ast
 import re
@@ -37,8 +37,39 @@ def _names_used(path):
     return used
 
 
+def _public_names(path):
+    """A module's public top-level functions and classes, and the public
+    methods and properties of those classes."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    m.name for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    return names
+
+
+_MODULES = sorted((_ROOT / "src" / "homsim").glob("*.py"))
+
+
+def _used_or_documented():
+    """The names read in src/homsim outside __init__ or in scripts/, and the
+    words of the README."""
+    sources = [p for p in _MODULES if p.name != "__init__.py"]
+    used = set().union(*(_names_used(p) for p in sources + list((_ROOT / "scripts").glob("*.py"))))
+    return used | set(re.findall(r"\w+", (_ROOT / "README.md").read_text()))
+
+
 def test_every_exported_name_has_a_caller_or_is_documented():
-    modules = [p for p in (_ROOT / "src" / "homsim").glob("*.py") if p.name != "__init__.py"]
-    used = set().union(*(_names_used(p) for p in modules + list((_ROOT / "scripts").glob("*.py"))))
-    readme = set(re.findall(r"\w+", (_ROOT / "README.md").read_text()))
-    assert [n for n in hs.__all__ if n not in used | readme] == []
+    known = _used_or_documented()
+    assert [n for n in hs.__all__ if n not in known] == []
+
+
+def test_every_public_function_class_and_method_has_a_caller_or_is_documented():
+    known = _used_or_documented()
+    names = [(p.stem, n) for p in _MODULES for n in _public_names(p)]
+    assert len(names) > 50
+    assert [f"{module}.{n}" for module, n in names if n not in known] == []
