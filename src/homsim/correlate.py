@@ -192,6 +192,7 @@ def estimate_background(
     past = past[dead] - edge
     before = before[dead] - edge
     zone = np.unique(right[dead], return_inverse=True)[1]
+    zone_bins, zone_y = np.bincount(zone, weights=np.ones_like(y)), np.bincount(zone, weights=y)
 
     def zone_sum(w):
         return np.bincount(zone, weights=w)
@@ -207,8 +208,8 @@ def estimate_background(
         tail_1 = np.stack([zone_sum(u), zone_sum(v)], axis=1)
         tail_y = np.stack([zone_sum(u * y), zone_sum(v * y)], axis=1)
         # floor = <P1, Py> / <P1, P1>, P projecting out each zone's tails
-        p11 = zone_sum(np.ones_like(y)) - np.einsum("zi,zij,zj->z", tail_1, gram_inv, tail_1)
-        p1y = zone_sum(y) - np.einsum("zi,zij,zj->z", tail_1, gram_inv, tail_y)
+        p11 = zone_bins - np.einsum("zi,zij,zj->z", tail_1, gram_inv, tail_1)
+        p1y = zone_y - np.einsum("zi,zij,zj->z", tail_1, gram_inv, tail_y)
         if p11.sum() < 1.0:
             raise EstimationError(
                 "dead zones too short to separate the floor from the peak tails"

@@ -191,8 +191,8 @@ def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise ValidationError("could not parse %s as numeric CSV: %s" % (path, exc))
-    if data.shape[1] < 2:
-        raise ValidationError("%s must have two numeric columns" % (path,))
+    if data.shape[1] != 2:
+        raise ValidationError("%s must have two numeric columns, not %d" % (path, data.shape[1]))
     return data[:, 0], data[:, 1]
 
 

@@ -1,14 +1,15 @@
 """Monte Carlo engine: pulsed emission, splitter routing with pairwise
 two-photon interference, losses, timing jitter, dark counts, dead time.
 
-run_simulation is the one simulation core. It works on whole columns, one
-chunk of pulses at a time, with four photon slots per pulse: rows 0/1 of
-each (4, n) array are source 1's primary and extra slow-branch photon, rows
-2/3 source 2's, each source's two ordered by emission time. The primary is
-gated by the blinking telegraph; the extra photon exists only with it. A
-pulse in which exactly one photon of each source survives to the coupler
-interferes through interfere.coherence_kernel, taken on the two EmitterSpecs
-at CircuitSpec.overlap with the pair's spectral-diffusion offsets as extra
+run_simulation is the one simulation core. It works one chunk of pulses at
+a time on photon columns, one entry per photon that exists: each source's
+primary photons, gated by the blinking telegraph, then its extra slow-branch
+photons, which a pulse has only with a primary, each in pulse order.
+Slot-major order is source 1's columns, then source 2's; a pulse's two
+photons of a source are ordered by emission time. A pulse in which exactly
+one photon of each source survives to the coupler interferes through
+interfere.coherence_kernel, taken on the two EmitterSpecs at
+CircuitSpec.overlap with the pair's spectral-diffusion offsets as extra
 detuning; every other photon routes classically.
 
 The rest is a pipeline over the pulse blocks in time order, which builds no
@@ -33,10 +34,11 @@ next kind; a Gaussian takes two words, see _gauss):
           decay word, per primary photon; if double_prob > 0, a double-
           emission word per primary and a decay word per extra photon; if
           spectral diffusion > 0, a Gaussian per primary, then per extra
-    3     circuit: a survival word per photon (slot-major), a route word per
-          classical photon (slot-major), an outcome, then an assignment word
-          per interfering pair, an output-loss word per photon reaching a
-          detector, and if irf_sigma_ps > 0 a Gaussian per kept photon
+    3     circuit, photons slot-major and pairs in pulse order: a survival
+          word per photon, a route word per classical photon, an outcome,
+          then an assignment word per interfering pair, an output-loss word
+          per photon reaching a detector, and if irf_sigma_ps > 0 a Gaussian
+          per kept photon
     4, 5  dark counts of channel 0, 1 (block 0)
     6, 7  blinking of source 1, 2: one word per pulse
 """
@@ -242,117 +244,115 @@ def _blink_gate(
 
 
 def _emission_columns(
-    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int,
-    carries, has, t, f,
+    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int, carries
 ):
-    """Fill one source's photon slots has, t and f, of shape (2, n) and all
-    false and 0 on entry, for pulse block `block`; return slow.
+    """One source's photons of pulse block `block`, as columns (pulse, t, f)
+    with k and slow.
 
-    Row 0 is the primary photon, row 1 the extra slow-branch photon, which a
-    pulse only has when it has a primary; t and f stay 0 where there is no
-    photon. slow flags the primary photons that took the slow branch.
+    The first k photons are the primaries, one per emitting pulse, and the
+    rest the extra slow-branch photons, which a pulse only has when it has a
+    primary; each group is in pulse order. pulse is a photon's pulse in the
+    block, t its emission time and f its spectral-diffusion offset; f is None
+    without diffusion. slow flags the primaries that took the slow branch.
     carries are the emitter's _blink_carries; None leaves them ungated.
     """
     p0 = block * _CHUNK_PULSES
-    n = has.shape[1]
     rng = _block_rng(seed, source_id, block)
-    has[0] = rng.random(n) < emitter.emission_prob
+    emits = rng.random(min(_CHUNK_PULSES, train.n_pulses - p0)) < emitter.emission_prob
     if carries is not None:
-        has[0] &= _blink_gate(emitter, train, seed, source_id, block, carries[block])
-    idx = np.flatnonzero(has[0])
-    slow = np.zeros(n, dtype=bool)
-    slow[idx] = rng.random(idx.size) < emitter.slow_fraction
+        emits &= _blink_gate(emitter, train, seed, source_id, block, carries[block])
+    pulse = np.flatnonzero(emits)
+    k = pulse.size
+    slow = rng.random(k) < emitter.slow_fraction
     delay = train.source_delay_ps if source_id == 2 else 0.0
-    start = (p0 + idx) * train.period_ps + delay
-    t1 = np.where(slow[idx], emitter.t1_slow_ps, emitter.t1_fast_ps)
-    t[0, idx] = start - np.log1p(-rng.random(idx.size)) * t1
-    extra = idx[:0]
+    start = (p0 + pulse) * train.period_ps + delay
+    t = start - np.log1p(-rng.random(k)) * np.where(slow, emitter.t1_slow_ps, emitter.t1_fast_ps)
     if emitter.double_prob > 0.0:
-        double = rng.random(idx.size) < emitter.double_prob
-        extra = idx[double]
-        has[1, extra] = True
-        t[1, extra] = start[double] - np.log1p(-rng.random(extra.size)) * emitter.t1_slow_ps
+        double = rng.random(k) < emitter.double_prob
+        pulse = np.concatenate((pulse, pulse[double]))
+        extra = start[double] - np.log1p(-rng.random(pulse.size - k)) * emitter.t1_slow_ps
+        t = np.concatenate((t, extra))
     sd = emitter.spectral_diffusion_sigma_uev
+    f = None
     if sd > 0.0:
-        f[0, idx] = sd * _gauss(rng.random((2, idx.size)))
-        f[1, extra] = sd * _gauss(rng.random((2, extra.size)))
-    return slow
+        f = np.concatenate([sd * _gauss(rng.random((2, m))) for m in (k, pulse.size - k)])
+    return pulse, t, f, k, slow
 
 
-def _order_slots(has, times, freqs):
-    """Swap, in place, each source's two photons where the extra one is earlier.
-
-    has, times and freqs are (4, n) photon slots; afterwards slot 0 (2) holds
-    source 1's (2's) earlier photon.
-    """
-    src, col = np.nonzero(has[1::2] & (times[1::2] < times[::2]))
-    first, second = 2 * src, 2 * src + 1
-    times[first, col], times[second, col] = times[second, col], times[first, col]
-    freqs[first, col], freqs[second, col] = freqs[second, col], freqs[first, col]
+def _order_slots(pulse, t, f, k):
+    """Swap, in place, the two photons of each of one source's double-emitting
+    pulses where the extra one is earlier, so that the primary is the earlier."""
+    first = np.searchsorted(pulse[:k], pulse[k:])
+    swap = np.flatnonzero(t[k:] < t[first])
+    a, b = first[swap], k + swap
+    for col in (t,) if f is None else (t, f):
+        col[a], col[b] = col[b], col[a]
 
 
 def _route_chunk(
-    block: int, e1: EmitterSpec, e2: EmitterSpec, has, times, freqs,
+    block: int, e1: EmitterSpec, e2: EmitterSpec, photons,
     circuit: CircuitSpec, det: DetectorSpec, seed: int,
 ):
     """Route one pulse block through the splitter: its sorted tag keys, and its
     photons emitted, detected and paired.
 
-    has, times and freqs are the four photon slots, rows 0/1 filled by
-    _emission_columns of emitter e1 and rows 2/3 by that of e2; they are
-    reordered in place. A tag's key is 2 * time + channel.
+    photons are the _emission_columns of e1 and of e2, reordered in place.
+    The block's photons are taken slot-major, source 1's and then source 2's:
+    photon j >= n1 is source 2's photon j - n1. A tag's key is 2 * time + channel.
     """
-    _order_slots(has, times, freqs)
-    # a photon's flat index is slot * n + pulse: ascending indices are
-    # slot-major, and those below 2n are source 1's
-    n = has.shape[1]
+    for pulse, t, f, k, _ in photons:
+        _order_slots(pulse, t, f, k)
+    (p1, t1, f1, _, _), (p2, t2, f2, _, _) = photons
+    n1 = t1.size
     rng = _block_rng(seed, _STREAM_CIRCUIT, block)
     tin = circuit.arm_transmission
-    live = np.flatnonzero(has)
-    sv = np.zeros(has.size, dtype=bool)
-    sv[live] = rng.random(live.size) < np.where(live < 2 * n, tin[0], tin[1]) * det.efficiency
-    sv = sv.reshape(4, n)
+    sv = rng.random(n1 + t2.size)  # the survival words, then whether each photon survived
+    sv = np.concatenate((sv[:n1] < tin[0] * det.efficiency, sv[n1:] < tin[1] * det.efficiency))
     # exactly one surviving photon from each source interferes
-    paired = (sv[0] ^ sv[1]) & (sv[2] ^ sv[3])
+    paired = np.ones(_CHUNK_PULSES, dtype=bool)
+    for (pulse, _, _, k, _), s in zip(photons, (sv[:n1], sv[n1:])):
+        odd = np.zeros(_CHUNK_PULSES, dtype=bool)  # an odd number of the source's photons survived
+        odd[pulse[:k][s[:k]]] = True
+        odd[pulse[k:][s[k:]]] ^= True
+        paired &= odd
+    in_pair = np.concatenate((paired[p1], paired[p2]))
     r = circuit.reflectance
     t = circuit.transmittance
 
-    # Output channel per photon; -1 = lost or absent. Every surviving photon
-    # not in an interfering pair routes classically: a bar (reflected)
-    # photon leaves on its own side, source 1 on channel 0, source 2 on 1.
-    chan = np.full(has.size, -1, dtype=np.int8)
-    lone = np.flatnonzero(sv & ~paired)
-    chan[lone] = (rng.random(lone.size) < r) != (lone < 2 * n)
+    # Output channel per photon; -1 = lost. Every surviving photon not in an
+    # interfering pair routes classically: a bar (reflected) photon leaves on
+    # its own side, source 1 on channel 0, source 2 on 1.
+    chan = np.full(sv.size, -1, dtype=np.int8)
+    lone = np.flatnonzero(sv & ~in_pair)
+    chan[lone] = (rng.random(lone.size) < r) != (lone < n1)
 
-    idx = np.flatnonzero(paired)
-    if idx.size:
-        # the flat index of each source's surviving photon
-        sa = sv[1, idx] * n + idx
-        sb = (sv[3, idx] + 2) * n + idx
-        d = coherence_kernel(
-            times.take(sa) - times.take(sb), e1, e2, circuit.overlap,
-            freq_offset_uev=freqs.take(sa) - freqs.take(sb),
-        )
-        p_cross = r * r + t * t - 2.0 * r * t * d
-        u_cross, u_assign = rng.random((2, idx.size))
-        cross = u_cross < p_cross
-        both_bar = u_assign < (r * r) / (r * r + t * t)
-        ch_a = np.where(cross, np.where(both_bar, 0, 1), np.where(u_assign < 0.5, 0, 1))
-        chan[sa] = ch_a
-        chan[sb] = np.where(cross, 1 - ch_a, ch_a)
+    # each pair's photons: source 1's survivors, then source 2's, each put in
+    # pulse order (a merge of its primaries and its extras)
+    sa, sb = np.flatnonzero(sv & in_pair).reshape(2, -1)
+    sa, sb = (s[np.argsort(p[s], kind="stable")] for p, s in ((p1, sa), (p2, sb - n1)))
+    # the pairs' spectral-diffusion offsets, source 1 minus source 2
+    df = (0.0 if f1 is None else f1[sa]) - (0.0 if f2 is None else f2[sb])
+    d = coherence_kernel(t1[sa] - t2[sb], e1, e2, circuit.overlap, freq_offset_uev=df)
+    p_cross = r * r + t * t - 2.0 * r * t * d
+    u_cross, u_assign = rng.random((2, sa.size))
+    cross = u_cross < p_cross
+    both_bar = u_assign < (r * r) / (r * r + t * t)
+    ch_a = np.where(cross, np.where(both_bar, 0, 1), np.where(u_assign < 0.5, 0, 1))
+    chan[sa] = ch_a
+    chan[n1 + sb] = np.where(cross, 1 - ch_a, ch_a)
 
     out = np.flatnonzero(chan >= 0)
     ch = chan[out]
     keep = rng.random(out.size) < np.where(ch == 0, tin[2], tin[3])
-    ch = ch[keep]
-    tt = times.take(out[keep])
+    ch, out = ch[keep], out[keep]
+    j = int(np.searchsorted(out, n1))
+    tt = np.concatenate((t1[out[:j]], t2[out[j:] - n1]))
     sigma = det.irf_sigma_ps
     if sigma > 0.0:
-        z = _gauss(rng.random((2, tt.size)))
-        tt += np.multiply(z, sigma, out=z)
-    ti = np.rint(tt, out=tt).astype(np.int64)
-    ok = ti >= 0
-    return np.sort(2 * ti[ok] + ch[ok]), (live.size, int(ok.sum()), idx.size)
+        tt += sigma * _gauss(rng.random((2, tt.size)))
+    tt = np.rint(tt, out=tt).astype(np.int64)  # the tag times, in integer ps
+    ok = tt >= 0
+    return np.sort(2 * tt[ok] + ch[ok]), (sv.size, int(ok.sum()), sa.size)
 
 
 def _dark_counts(det: DetectorSpec, span_ps: float, seed: int) -> np.ndarray:
@@ -483,11 +483,8 @@ def run_simulation(
     counts = np.zeros(3, dtype=np.int64)  # photons emitted, detected and paired
 
     def work(block: int):
-        n = min(_CHUNK_PULSES, train.n_pulses - block * _CHUNK_PULSES)
-        slots = np.zeros((4, n), dtype=bool), np.zeros((4, n)), np.zeros((4, n))
-        for i, e, c in sources:
-            _emission_columns(e, train, i, seed, block, c, *(a[2 * i - 2 : 2 * i] for a in slots))
-        return _route_chunk(block, emitter1, emitter2, *slots, circuit, det, seed)
+        photons = [_emission_columns(e, train, i, seed, block, c) for i, e, c in sources]
+        return _route_chunk(block, emitter1, emitter2, photons, circuit, det, seed)
 
     def segments():
         """All tag keys in time order, as sorted segments (see the module docstring)."""

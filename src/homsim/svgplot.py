@@ -60,10 +60,10 @@ def line_chart_svg(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(v: float) -> float:
+    def px(v):
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -101,7 +101,8 @@ def line_chart_svg(
             '<text x="%d" y="%.2f" font-size="12" text-anchor="end">%s</text>'
             % (_MARGIN_L - 9, py(ty) + 4, _fmt(ty))
         )
-    pts = " ".join("%.2f,%.2f" % (px(a), py(b)) for a, b in zip(x, y))
+    xy = np.column_stack((px(x), py(y))).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(xy)
     parts.append(
         '<polyline points="%s" fill="none" stroke="#1f4e8c" stroke-width="1"/>' % pts
     )

@@ -151,33 +151,25 @@ def scenario_dict(**overrides):
     return base
 
 
-def emission_block(emitter, train, source_id, seed, block, carries=None):
-    """One source's photon slots of one pulse block, as (has, t, f, slow):
-    _emission_columns run on fresh (2, n) slot arrays."""
-    n = min(_CHUNK_PULSES, train.n_pulses - block * _CHUNK_PULSES)
-    has, t, f = np.zeros((2, n), dtype=bool), np.zeros((2, n)), np.zeros((2, n))
-    slow = _emission_columns(emitter, train, source_id, seed, block, carries, has, t, f)
-    return has, t, f, slow
-
-
 def emission_columns(emitter, train, source_id, seed):
     """One source's emission columns over the whole train, blink gate applied.
 
-    Keys: has_a/t_a/slow_a/f_a for the primary photon of each pulse and
-    has_b/t_b/f_b for the extra slow-branch photon. Times and offsets are
-    drawn only for photons that exist, those with has_a/has_b set; the
-    other entries are 0.
+    Keys: pulse_a/t_a/slow_a/f_a for the primary photons and pulse_b/t_b/f_b
+    for the extra slow-branch photons, one entry per photon that exists, in
+    pulse order; pulse_* are pulse indices in the train. f_* are None without
+    spectral diffusion.
     """
     carries = _blink_carries(emitter, train, seed, source_id)
-    blocks = [
-        emission_block(emitter, train, source_id, seed, b, carries)
-        for b in range(-(-train.n_pulses // _CHUNK_PULSES))
-    ]
-    has, t, f, slow = (np.concatenate(cols, axis=-1) for cols in zip(*blocks))
-    return {
-        "has_a": has[0], "t_a": t[0], "slow_a": slow, "f_a": f[0],
-        "has_b": has[1], "t_b": t[1], "f_b": f[1],
-    }
+    cols = {key: [] for key in ("pulse_a", "t_a", "slow_a", "f_a", "pulse_b", "t_b", "f_b")}
+    for b in range(-(-train.n_pulses // _CHUNK_PULSES)):
+        pulse, t, f, k, slow = _emission_columns(emitter, train, source_id, seed, b, carries)
+        pulse = pulse + b * _CHUNK_PULSES
+        for key, col in (("pulse", pulse), ("t", t), ("f", f)):
+            if col is not None:
+                cols[key + "_a"].append(col[:k])
+                cols[key + "_b"].append(col[k:])
+        cols["slow_a"].append(slow)
+    return {key: np.concatenate(c) if c else None for key, c in cols.items()}
 
 
 def blink_probabilities(emitter, train):

@@ -239,6 +239,15 @@ class TestAnalyzeHom:
         peaks = (sim_artifacts["dir"] / "hom_peaks.csv").read_text().splitlines()
         assert sum(1 for ln in peaks if not ln.startswith("#")) == 11
 
+    def test_peaks_table_is_not_read_as_two_column_data(self, run, sim_artifacts, tmp_path):
+        prefix = str(tmp_path / "hom")
+        args = ("--tags", sim_artifacts["tags"], "--config", sim_artifacts["config"])
+        assert run("analyze-hom", *args, "--out-prefix", prefix)[0] == 0
+        code, out, err = run("calib-loss", "--data", prefix + "_peaks.csv")
+        assert code == 2
+        assert "hom_peaks.csv must have two numeric columns, not 4" in err
+        assert out == ""
+
     def test_window_without_room_for_eleven_peaks_tables_the_configured_comb(
         self, run, sim_artifacts, tmp_path
     ):

@@ -14,7 +14,6 @@ from homsim import simulate
 from helpers import (
     blink_gate_reference,
     blink_probabilities,
-    emission_block,
     emission_columns,
     emitter_long_t2,
     emitter_short_t2,
@@ -34,21 +33,20 @@ def _off_emitter():
 
 def _delays(col, train, slot="a"):
     """Emission delays after the pulse start of the photons in one slot."""
-    has = col["has_" + slot]
-    return col["t_" + slot][has] - np.flatnonzero(has) * train.period_ps
+    return col["t_" + slot] - col["pulse_" + slot] * train.period_ps
 
 
 class TestEmission:
     def test_silent_emitter_emits_nothing(self):
         col = emission_columns(_off_emitter(), _train(1000), 1, seed=1)
-        assert not col["has_a"].any()
-        assert not col["has_b"].any()
+        assert col["pulse_a"].size == 0
+        assert col["pulse_b"].size == 0
 
     def test_unit_probability_emits_once_per_pulse(self):
         e = make_emitter(emission_prob=1.0)
         col = emission_columns(e, _train(5000), 1, seed=2)
-        assert col["has_a"].all()
-        assert not col["has_b"].any()
+        assert np.array_equal(col["pulse_a"], np.arange(5000))
+        assert col["pulse_b"].size == 0
 
     def test_photon_times_finite_and_after_pulse_start(self):
         e = make_emitter(emission_prob=0.7, slow_fraction=0.1, double_prob=0.2)
@@ -65,8 +63,8 @@ class TestEmission:
         frac = 0.3
         e = make_emitter(emission_prob=1.0, slow_fraction=frac)
         col = emission_columns(e, _train(20000), 1, seed=4)
-        n = int(col["has_a"].sum())
-        slow = int(col["slow_a"][col["has_a"]].sum())
+        n = col["pulse_a"].size
+        slow = int(col["slow_a"].sum())
         sigma = np.sqrt(n * frac * (1 - frac))
         assert abs(slow - frac * n) <= 3.0 * sigma
 
@@ -89,7 +87,7 @@ class TestEmission:
         e = make_emitter(emission_prob=1.0, double_prob=frac)
         train = _train(n_pulses)
         col = emission_columns(e, train, 1, seed=7)
-        doubles = int(col["has_b"].sum())
+        doubles = col["pulse_b"].size
         sigma = np.sqrt(n_pulses * frac * (1 - frac))
         assert abs(doubles - frac * n_pulses) <= 3.0 * sigma
         # the extra photon always rides the long-lived branch
@@ -99,7 +97,7 @@ class TestEmission:
     def test_spectral_diffusion_offsets_have_configured_spread(self):
         e = make_emitter(emission_prob=1.0, spectral_diffusion_sigma_uev=2.0)
         col = emission_columns(e, _train(20000), 1, seed=8)
-        offs = col["f_a"][col["has_a"]]
+        offs = col["f_a"]
         assert abs(offs.std() - 2.0) <= 0.1
         assert abs(offs.mean()) <= 3.0 * 2.0 / np.sqrt(offs.size)
 
@@ -110,7 +108,7 @@ class TestEmission:
         assert all(np.array_equal(a[k], b[k]) for k in a)
         c = emission_columns(e, _train(3000), 2, seed=9)
         # independent per-source streams
-        assert not np.array_equal(a["has_a"], c["has_a"])
+        assert not np.array_equal(a["pulse_a"], c["pulse_a"])
         assert not np.array_equal(a["t_a"], c["t_a"])
 
 
@@ -418,13 +416,11 @@ class TestBlockPipeline:
     @staticmethod
     def _block_keys(e1, e2, circuit, det, train, seed):
         """Each pulse block's tag keys, as its worker makes them (no blinking)."""
+        emitters = ((1, e1), (2, e2))
         return [
             simulate._route_chunk(
                 b, e1, e2,
-                *(np.concatenate(cols) for cols in zip(
-                    emission_block(e1, train, 1, seed, b)[:3],
-                    emission_block(e2, train, 2, seed, b)[:3],
-                )),
+                [simulate._emission_columns(e, train, i, seed, b, None) for i, e in emitters],
                 circuit, det, seed,
             )[0]
             for b in range(-(-train.n_pulses // simulate._CHUNK_PULSES))
@@ -516,6 +512,24 @@ class TestBlockPipeline:
             del stream
         assert (peaks[1] - peaks[0]) / (tags[1] - tags[0]) <= 24.0
 
+    def test_one_block_working_set_is_sized_by_its_photons(self, monkeypatch):
+        # the README pair at efficiency 1 emits about one photon per pulse, and
+        # every photon becomes a tag; four float64 slots per pulse for the
+        # times and again for the offsets alone would take 64 bytes a pulse
+        monkeypatch.setenv("HOMSIM_THREADS", "1")
+        det = hs.DetectorSpec(irf_fwhm_ps=80.0, dark_rate_cps=300.0, efficiency=1.0)
+        tracemalloc.start()
+        try:
+            _, c = hs.run_simulation(
+                emitter_short_t2(), emitter_long_t2(), reference_circuit(), det,
+                _train(simulate._CHUNK_PULSES), seed=3,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.photons_emitted > 0.9 * simulate._CHUNK_PULSES
+        assert peak <= 128.0 * c.photons_emitted
+
 
 def _box_muller_reference(u):
     """The plain Box-Muller formula that simulate._gauss computes in place."""
@@ -547,9 +561,9 @@ class TestBlockDraws:
         short = _train(simulate._CHUNK_PULSES + 17)
         long = _train(3 * simulate._CHUNK_PULSES)
         for source in (1, 2):
-            a = emission_block(e, short, source, 41, 0)
-            b = emission_block(e, long, source, 41, 0)
-            assert a[0].shape == (2, simulate._CHUNK_PULSES)
+            a = simulate._emission_columns(e, short, source, 41, 0, None)
+            b = simulate._emission_columns(e, long, source, 41, 0, None)
+            assert a[0].max() < simulate._CHUNK_PULSES <= a[0].max() + 16
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
 
