@@ -42,6 +42,7 @@ from .formats import read_ptg1, write_ptg1
 from .interfere import (
     coherence_kernel,
     envelope_cross_correlation,
+    g2_closed_form,
     postselected_visibility,
     predicted_hom_dip,
     visibility_closed_form,
@@ -102,6 +103,7 @@ __all__ = [
     "fit_lorentzian",
     "fit_loss",
     "fringe_visibility",
+    "g2_closed_form",
     "hom_visibility",
     "integrate_peaks",
     "load_scenario",

@@ -57,20 +57,28 @@ def splitting_ratio(m: SplitterMeasurement) -> tuple[float, float]:
     """Coupler splitting ratio (r, t), r + t = 1.
 
     r/t = sqrt[(i11/i12) * (i22/i21)]; the geometric mean over the two
-    drives cancels any fixed per-output collection imbalance.
+    drives cancels any fixed per-output collection imbalance. r and t are
+    1/(1 + t/r) and 1/(1 + r/t), from sums of logs, so that they stay finite
+    and in [0, 1] for any positive finite intensities.
     """
-    ratio = np.sqrt((m.i11 / m.i12) * (m.i22 / m.i21))
-    r = ratio / (1.0 + ratio)
-    return float(r), float(1.0 - r)
+    log_ratio = 0.5 * (np.log(m.i11) - np.log(m.i12) + np.log(m.i22) - np.log(m.i21))
+    r, t = np.exp(-np.logaddexp(0.0, (-log_ratio, log_ratio)))
+    return float(r), float(t)
 
 
 def outcoupling_imbalance(m: SplitterMeasurement) -> float:
     """Diagnostic ratio of the two output-collection efficiencies.
 
     x = sqrt[(i11/i12) / (i22/i21)]: the factor by which output 1 is
-    collected more efficiently than output 2.
+    collected more efficiently than output 2, from sums of logs. Raises
+    ValidationError where x overflows or underflows a float.
     """
-    return float(np.sqrt((m.i11 / m.i12) / (m.i22 / m.i21)))
+    log_x = 0.5 * (np.log(m.i11) - np.log(m.i12) - np.log(m.i22) + np.log(m.i21))
+    with np.errstate(over="ignore"):
+        x = float(np.exp(log_x))
+    if not 0.0 < x < np.inf:
+        raise ValidationError("outcoupling imbalance exp(%g) is out of float range" % log_x)
+    return x
 
 
 def fringe_visibility(

@@ -167,6 +167,9 @@ def _cmd_analyze_hom(args) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         v_post = interfere.postselected_visibility(max(narrow.g2_zero, 0.0))
+    g2_theory = interfere.g2_closed_form(
+        cfg.emitter1, cfg.emitter2, cfg.circuit, cfg.train.source_delay_ps
+    )
 
     hist_csv = args.out_prefix + "_hist.csv"
     write_histogram_csv(hist_csv, hist)
@@ -182,6 +185,7 @@ def _cmd_analyze_hom(args) -> None:
         "g2_raw_err": raw.g2_zero_err,
         "g2_corrected": corrected.g2_zero,
         "g2_corrected_err": corrected.g2_zero_err,
+        "g2_closed_form": g2_theory,
         "floor_per_bin": floor,
         "background_fraction": float(
             floor * hist.n_bins / max(hist.total_pairs, 1)
@@ -206,6 +210,7 @@ def _cmd_analyze_hom(args) -> None:
     print("floor_per_bin = %.6f" % floor)
     print("postselected_g2 = %.6f" % narrow.g2_zero)
     print("postselected_visibility = %.6f" % v_post)
+    print("g2_closed_form = %.6f" % g2_theory)
 
 
 def _cmd_correlate(args) -> None:
@@ -300,9 +305,9 @@ def _cmd_calib_splitter(args) -> None:
     m = calib.SplitterMeasurement.from_drive_pairs(
         args.bar1, args.cross1, args.bar2, args.cross2
     )
-    r, t = calib.splitting_ratio(m)
+    (r, t), imbalance = calib.splitting_ratio(m), calib.outcoupling_imbalance(m)
     print("r:t = %.1f:%.1f" % (100.0 * r, 100.0 * t))
-    print("outcoupling_imbalance = %.4f" % calib.outcoupling_imbalance(m))
+    print("outcoupling_imbalance = %.4f" % imbalance)
 
 
 def _cmd_calib_fringe(args) -> None:

@@ -113,7 +113,13 @@ def cross_correlate(
         raise ValidationError("bin_width_ps and window_ps must be finite")
     if bin_width_ps < 1.0:
         raise ValidationError("bin_width_ps must be >= 1 ps")
-    n_bins = max(int(round(2.0 * window_ps / bin_width_ps)), 0)
+    quotient = 2.0 * window_ps / bin_width_ps
+    if not math.isfinite(quotient):
+        raise ConfigurationError(
+            "correlation window %g ps over bin width %g ps gives no finite bin count"
+            % (window_ps, bin_width_ps)
+        )
+    n_bins = max(int(round(quotient)), 0)
     # CorrelationHistogram checks the grid
     hist = CorrelationHistogram(float(bin_width_ps), float(window_ps), _zero_counts(n_bins))
     # the stream guarantees sorted times in [0, TAG_CLOCK_PS) and channels 0/1

@@ -124,6 +124,16 @@ def visibility_closed_form(
     return float(pol_overlap * val.real)
 
 
+def g2_closed_form(e1: EmitterSpec, e2: EmitterSpec, circuit: CircuitSpec, delay_ps: float):
+    """Central-to-side peak ratio r^2 + t^2 - 2rt V(delay_ps) of a run with
+    source 2 excited delay_ps late, V at the circuit's overlap. It omits the
+    integration window, the slow decay branch and the detector jitter.
+    """
+    r, t = circuit.reflectance, circuit.transmittance
+    v = visibility_closed_form(e1, e2, pol_overlap=circuit.overlap, delay_ps=delay_ps)
+    return r * r + t * t - 2.0 * r * t * v
+
+
 def visibility_numeric(
     e1: EmitterSpec,
     e2: EmitterSpec,

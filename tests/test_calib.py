@@ -71,6 +71,31 @@ class TestSplittingRatio:
         with pytest.raises(hs.ValidationError):
             hs.SplitterMeasurement(bad, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "drives,expected",
+        [
+            ((1e308, 1e-308, 1e308, 1e-308), (1.0, 0.0)),
+            ((1e-308, 1e308, 1e-308, 1e308), (0.0, 1.0)),
+        ],
+    )
+    def test_ratios_past_the_float_range_saturate(self, drives, expected):
+        m = hs.SplitterMeasurement.from_drive_pairs(*drives)
+        assert hs.splitting_ratio(m) == expected
+        assert hs.outcoupling_imbalance(m) == 1.0
+
+    @pytest.mark.parametrize("big", [1e308, 1e-308])  # x = sqrt(big^2 / big^-2) = big^2
+    def test_imbalance_out_of_float_range_rejected(self, big):
+        m = hs.SplitterMeasurement(i11=big, i12=1.0 / big, i21=big, i22=1.0 / big)
+        with pytest.raises(hs.ValidationError, match="outcoupling imbalance"):
+            hs.outcoupling_imbalance(m)
+
+    @given(*(st.floats(min_value=1e-300, max_value=1e300) for _ in range(4)))
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_finite_and_summing_to_one_over_the_float_range(self, i11, i12, i21, i22):
+        r, t = hs.splitting_ratio(hs.SplitterMeasurement(i11, i12, i21, i22))
+        assert 0.0 <= r <= 1.0 and 0.0 <= t <= 1.0
+        assert r + t == pytest.approx(1.0, abs=1e-12)
+
 
 def _fringe_trace(contrast, n=4000, noise_frac=0.0, seed=0):
     t = np.linspace(0.0, 6.0 * np.pi, n)

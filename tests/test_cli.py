@@ -119,6 +119,18 @@ class TestCalibCommands:
         assert code == 0
         assert "r:t = 48.5:51.5" in out
 
+    @pytest.mark.parametrize(
+        "drives,ratio",
+        [
+            (["1e308", "1e-308", "1e308", "1e-308"], "100.0:0.0"),  # was nan:nan
+            (["1e-308", "1e308", "1e-308", "1e308"], "0.0:100.0"),  # was ZeroDivisionError
+        ],
+    )
+    def test_splitter_extreme_ratios_stay_finite(self, run, drives, ratio):
+        code, out, err = run("calib-splitter", *drives)
+        assert (code, err) == (0, "")
+        assert out == "r:t = %s\noutcoupling_imbalance = 1.0000\n" % ratio
+
     def test_fringe_full_swing(self, run, tmp_path):
         t = np.linspace(0.0, 4.0 * np.pi, 801)
         p = write_xy(tmp_path, t, 0.5 * (1.0 + np.cos(t)))
@@ -224,7 +236,7 @@ class TestAnalyzeHom:
         for key in (
             "g2_raw", "g2_corrected", "floor_per_bin", "background_fraction",
             "postselected_g2", "postselected_visibility", "eleven_peak_areas",
-            "config_digest", "seed",
+            "config_digest", "seed", "g2_closed_form",
         ):
             assert key in report
         assert 0.0 <= report["g2_corrected"] <= 2.0
@@ -330,6 +342,22 @@ class TestCorrelateCommand:
         )
         assert code == 2
         assert err.startswith("error: %d bins do not fit in memory" % round(2.0 * window))
+
+    @pytest.mark.parametrize("command", ["correlate", "analyze-hom"])
+    def test_bin_count_that_overflows_exits_2_naming_the_window(
+        self, run, sim_artifacts, tmp_path, command
+    ):
+        # 2 * 1e308 / bin width overflows to inf; AnalysisSpec takes 1e308 as finite
+        cfg = write_config(tmp_path, analysis={"window_ps": 1e308})
+        args = {
+            "correlate": ["--window-ps", "1e308", "--bin-width-ps", 1, "--out", tmp_path / "c.csv"],
+            "analyze-hom": ["--config", cfg, "--out-prefix", tmp_path / "a"],
+        }[command]
+        code, out, err = run(command, "--tags", sim_artifacts["tags"], *args)
+        assert code == 2
+        assert err.startswith("error: correlation window 1e+308 ps over bin width")
+        assert "Traceback" not in err and out == ""
+        assert list(tmp_path.glob("[ac]*")) == []
 
 
 class TestTimetraceCommand:
@@ -551,6 +579,11 @@ _NON_FINITE_CASES = {
         for v in ("nan", "inf")
     },
     "calib-splitter-inf": (["calib-splitter", "inf", "1", "1", "1"], None, None),
+    # outcoupling imbalances of 1e616 and 1e-616
+    "calib-splitter-imbalance-over": (["calib-splitter", "1e308", "1e-308", "1e-308", "1e308"],
+                                      None, None),
+    "calib-splitter-imbalance-under": (["calib-splitter", "1e-308", "1e308", "1e308", "1e-308"],
+                                       None, None),
     **{
         "calib-fringe-" + str(bad): (["calib-fringe", "--data", "{data}"],
                                      (_FRINGE_X, _with(1 + np.cos(_FRINGE_X / 3), 4, bad)),

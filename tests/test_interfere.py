@@ -430,3 +430,36 @@ class TestDipModel:
         assert ratio == pytest.approx(analytic, abs=1e-5)
         v = hs.visibility_closed_form(e1, e2, 0.0, 1.0)
         assert abs(ratio - (1.0 - v)) < 0.02
+
+
+class TestG2ClosedForm:
+    """The predicted peak ratio r^2 + t^2 - 2rt V(delay) of one run."""
+
+    @pytest.mark.parametrize("delay", [0.0, 500.0])
+    def test_reference_pair_is_the_acceptance_formula_bit_for_bit(self, delay):
+        e1, e2 = emitter_short_t2(), emitter_long_t2()
+        cir = hs.CircuitSpec(reflectance=0.48, pol_overlap=0.95)
+        r, t = cir.reflectance, cir.transmittance
+        # criterion 08's inline g_theory
+        v = hs.visibility_closed_form(e1, e2, delta_uev=0.0, pol_overlap=0.95, delay_ps=delay)
+        assert hs.g2_closed_form(e1, e2, cir, delay) == r * r + t * t - 2.0 * r * t * v
+
+    def test_reference_pair_at_half_a_nanosecond(self):
+        cir = hs.CircuitSpec(reflectance=0.48, pol_overlap=0.95)
+        g = hs.g2_closed_form(emitter_short_t2(), emitter_long_t2(), cir, 500.0)
+        assert g == pytest.approx(0.4669, abs=5e-5)
+
+    @pytest.mark.parametrize("delay", [0.0, 500.0])
+    def test_orthogonal_polarizations_give_the_classical_ratio(self, delay):
+        cir = hs.CircuitSpec(reflectance=0.48, pol_overlap=0.0)
+        r, t = cir.reflectance, cir.transmittance
+        g = hs.g2_closed_form(emitter_short_t2(), emitter_long_t2(), cir, delay)
+        assert g == r * r + t * t
+
+    @pytest.mark.parametrize("frac", [0.1, 0.6, 1.0])
+    def test_identical_emitters_at_zero_delay(self, frac):
+        e = make_emitter(t1_fast_ps=700.0, t2_ps=frac * 2.0 * 700.0)
+        cir = hs.CircuitSpec(reflectance=0.45, pol_overlap=1.0)
+        r, t = cir.reflectance, cir.transmittance
+        expected = r * r + t * t - 2.0 * r * t * e.t2_ps / (2.0 * e.t1_fast_ps)
+        assert hs.g2_closed_form(e, e, cir, 0.0) == pytest.approx(expected, rel=1e-12)
