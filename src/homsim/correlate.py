@@ -77,7 +77,7 @@ def _zero_counts(n_bins):
     try:
         return np.zeros(n_bins, dtype=np.int64)
     except (MemoryError, ValueError) as exc:  # numpy's two ways to refuse a size
-        raise ConfigurationError("%d bins do not fit in memory (%s)" % (n_bins, exc)) from exc
+        raise ConfigurationError("%g bins do not fit in memory (%s)" % (n_bins, exc)) from exc
 
 
 def _histogram_slice(stream, start, stop, below, above, hist):
@@ -197,22 +197,22 @@ def estimate_background(
     # tails are measured from the dead-zone edges, where they are largest
     past = past[dead] - edge
     before = before[dead] - edge
-    zone = np.unique(right[dead], return_inverse=True)[1]
-    zone_bins, zone_y = np.bincount(zone, weights=np.ones_like(y)), np.bincount(zone, weights=y)
-
-    def zone_sum(w):
-        return np.bincount(zone, weights=w)
+    # right is sorted, so each zone is one run of the dead bins from starts
+    _, starts, zone = np.unique(right[dead], return_index=True, return_inverse=True)
+    zone_bins, zone_y = np.diff(starts, append=y.size), np.add.reduceat(y, starts)
+    w = np.empty((7, y.size))  # the terms of each zone sum, one row each
+    u, v, uu, uv, vv, uy, vy = w
 
     def fit(log_decay):
         """Least-squares floor and model, tail amplitudes solved per zone."""
-        u = np.exp(-past / np.exp(log_decay[0]))
-        v = np.exp(-before / np.exp(log_decay[1]))
-        uv = zone_sum(u * v)
-        gram_inv = np.linalg.pinv(
-            np.stack([[zone_sum(u * u), uv], [uv, zone_sum(v * v)]]).transpose(2, 0, 1)
-        )
-        tail_1 = np.stack([zone_sum(u), zone_sum(v)], axis=1)
-        tail_y = np.stack([zone_sum(u * y), zone_sum(v * y)], axis=1)
+        np.exp(np.divide(past, -np.exp(log_decay[0]), out=u), out=u)
+        np.exp(np.divide(before, -np.exp(log_decay[1]), out=v), out=v)
+        for a, b, out in ((u, u, uu), (u, v, uv), (v, v, vv), (u, y, uy), (v, y, vy)):
+            np.multiply(a, b, out=out)
+        s_u, s_v, s_uu, s_uv, s_vv, s_uy, s_vy = np.add.reduceat(w, starts, axis=1)
+        gram_inv = np.linalg.pinv(np.stack([[s_uu, s_uv], [s_uv, s_vv]]).transpose(2, 0, 1))
+        tail_1 = np.stack([s_u, s_v], axis=1)
+        tail_y = np.stack([s_uy, s_vy], axis=1)
         # floor = <P1, Py> / <P1, P1>, P projecting out each zone's tails
         p11 = zone_bins - np.einsum("zi,zij,zj->z", tail_1, gram_inv, tail_1)
         p1y = zone_y - np.einsum("zi,zij,zj->z", tail_1, gram_inv, tail_y)

@@ -264,14 +264,21 @@ def _emission_columns(
     pulse = np.flatnonzero(emits)
     k = pulse.size
     slow = rng.random(k) < emitter.slow_fraction
-    delay = train.source_delay_ps if source_id == 2 else 0.0
-    start = (p0 + pulse) * train.period_ps + delay
-    t = start - np.log1p(-rng.random(k)) * np.where(slow, emitter.t1_slow_ps, emitter.t1_fast_ps)
+
+    def decay(start, t1):
+        """start - t1 ln(1 - u), built in place in fresh words u."""
+        t = rng.random(start.size)
+        np.log1p(np.negative(t, out=t), out=t)
+        t *= t1
+        return np.subtract(start, t, out=t)
+
+    start = (p0 + pulse) * train.period_ps
+    start += train.source_delay_ps if source_id == 2 else 0.0
+    t = decay(start, np.where(slow, emitter.t1_slow_ps, emitter.t1_fast_ps))
     if emitter.double_prob > 0.0:
         double = rng.random(k) < emitter.double_prob
         pulse = np.concatenate((pulse, pulse[double]))
-        extra = start[double] - np.log1p(-rng.random(pulse.size - k)) * emitter.t1_slow_ps
-        t = np.concatenate((t, extra))
+        t = np.concatenate((t, decay(start[double], emitter.t1_slow_ps)))
     sd = emitter.spectral_diffusion_sigma_uev
     f = None
     if sd > 0.0:
@@ -336,23 +343,31 @@ def _route_chunk(
     p_cross = r * r + t * t - 2.0 * r * t * d
     u_cross, u_assign = rng.random((2, sa.size))
     cross = u_cross < p_cross
-    both_bar = u_assign < (r * r) / (r * r + t * t)
-    ch_a = np.where(cross, np.where(both_bar, 0, 1), np.where(u_assign < 0.5, 0, 1))
+    # a pair that splits puts source 1's photon on channel 0 when both reflect
+    # and on 1 when both transmit, source 2's on the other; a bunched pair
+    # shares channel 0 or 1 with even odds
+    ch_a = u_assign >= np.where(cross, (r * r) / (r * r + t * t), 0.5)
     chan[sa] = ch_a
-    chan[n1 + sb] = np.where(cross, 1 - ch_a, ch_a)
+    chan[n1 + sb] = ch_a ^ cross
 
     out = np.flatnonzero(chan >= 0)
     ch = chan[out]
-    keep = rng.random(out.size) < np.where(ch == 0, tin[2], tin[3])
-    ch, out = ch[keep], out[keep]
+    keep = rng.random(out.size) < np.where(ch, tin[3], tin[2])
+    if not keep.all():
+        ch, out = ch[keep], out[keep]
     j = int(np.searchsorted(out, n1))
     tt = np.concatenate((t1[out[:j]], t2[out[j:] - n1]))
     sigma = det.irf_sigma_ps
     if sigma > 0.0:
-        tt += sigma * _gauss(rng.random((2, tt.size)))
-    tt = np.rint(tt, out=tt).astype(np.int64)  # the tag times, in integer ps
-    ok = tt >= 0
-    return np.sort(2 * tt[ok] + ch[ok]), (sv.size, int(ok.sum()), sa.size)
+        z = _gauss(rng.random((2, tt.size)))
+        tt += np.multiply(z, sigma, out=z)
+    keys = np.rint(tt, out=tt).astype(np.int64)  # the tag times, in integer ps
+    keys *= 2
+    keys += ch
+    if keys.size and keys.min() < 0:  # 2 * time + channel < 0 exactly when time < 0
+        keys = keys[keys >= 0]
+    keys.sort(kind="stable")
+    return keys, (sv.size, keys.size, sa.size)
 
 
 def _dark_counts(det: DetectorSpec, span_ps: float, seed: int) -> np.ndarray:
@@ -394,11 +409,12 @@ def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float, la
     dead = math.ceil(dead_ps)
     for ch in (0, 1):
         idx = np.flatnonzero(channels == ch)
+        t = times[idx]
         if last[ch] is not None:
             # capped past every tag, so that the bound fits int64
-            idx = idx[np.searchsorted(times[idx], min(last[ch] + dead, TAG_CLOCK_PS)) :]
+            first = np.searchsorted(t, min(last[ch] + dead, TAG_CLOCK_PS))
+            idx, t = idx[first:], t[first:]
         if idx.size:
-            t = times[idx]
             on = _dead_time_chain(t, dead)
             keep[idx[on]] = True
             last[ch] = int(t[on][-1])

@@ -341,7 +341,7 @@ class TestCorrelateCommand:
             "--bin-width-ps", 1, "--window-ps", window, "--out", tmp_path / "x.csv",
         )
         assert code == 2
-        assert err.startswith("error: %d bins do not fit in memory" % round(2.0 * window))
+        assert err.startswith("error: %g bins do not fit in memory" % (2.0 * window))
 
     @pytest.mark.parametrize("command", ["correlate", "analyze-hom"])
     def test_bin_count_that_overflows_exits_2_naming_the_window(
@@ -358,6 +358,17 @@ class TestCorrelateCommand:
         assert err.startswith("error: correlation window 1e+308 ps over bin width")
         assert "Traceback" not in err and out == ""
         assert list(tmp_path.glob("[ac]*")) == []
+
+    def test_finite_bin_count_past_any_array_exits_2_on_a_short_line(self, run, tmp_path):
+        # 2e300 bins is a finite float with 301 digits as an integer
+        code, out, err = run(
+            "correlate", "--tags", write_two_tags(tmp_path),
+            "--bin-width-ps", 1, "--window-ps", 1e300, "--out", tmp_path / "c.csv",
+        )
+        assert code == 2
+        assert err.startswith("error: 2e+300 bins do not fit in memory")
+        assert "Traceback" not in err and out == ""
+        assert len(err.splitlines()[0]) < 120
 
 
 class TestTimetraceCommand:
@@ -388,7 +399,7 @@ class TestTimetraceCommand:
             "--out", tmp_path / "x.csv",
         )
         assert code == 2
-        assert err.startswith("error: 50000000000000 bins do not fit in memory")
+        assert err.startswith("error: 5e+13 bins do not fit in memory")
 
 
 class TestFitCommands:

@@ -300,6 +300,17 @@ class TestBackgroundSolve:
         assert len(costs) == 1
         return floor, costs[0]
 
+    @staticmethod
+    def _case(case):
+        """(hist, period, keyword arguments) of a named case."""
+        if case == "hom-300k":
+            hist, period = _hom_histogram()
+            return hist, period, {"delta_t_ps": 3000.0}
+        if case == "slow":
+            return _tailed_comb(0.0, decay_r=1000.0, decay_l=5000.0), 13000.0, {}
+        delay = float(case.split("-")[1])
+        return _tailed_comb(delay), 13000.0, {"delay_ps": delay}
+
     # "slow": a 5 ns left tail, as long as the bound of half a dead zone,
     # ends with T_L on the upper bound and T_R free
     @pytest.mark.parametrize("case", ["tailed-0", "tailed-500", "slow", "hom-300k"])
@@ -310,15 +321,7 @@ class TestBackgroundSolve:
             sol = least_squares(fun, x0, bounds=(lo, hi), method="trf", x_scale="jac")
             return sol.x, sol.fun, sol.jac, sol.njev, sol.status > 0
 
-        period, kw = 13000.0, {}
-        if case == "hom-300k":
-            hist, period = _hom_histogram()
-            kw = {"delta_t_ps": 3000.0}
-        elif case == "slow":
-            hist = _tailed_comb(0.0, decay_r=1000.0, decay_l=5000.0)
-        else:
-            kw = {"delay_ps": float(case.split("-")[1])}
-            hist = _tailed_comb(kw["delay_ps"])
+        hist, period, kw = self._case(case)
         floor, cost = self._floor_and_cost(
             monkeypatch, correlate._trf_least_squares, hist, period, **kw
         )
@@ -326,6 +329,20 @@ class TestBackgroundSolve:
         assert floor_trf > 0.0
         assert floor == pytest.approx(floor_trf, rel=1e-5)
         assert cost <= cost_trf * (1.0 + 1e-9)
+
+    # each case's floor, pinned with the zone sums accumulated bin by bin;
+    # another summation order may move it in the tenth digit, no further
+    @pytest.mark.parametrize(
+        "case,pinned",
+        [
+            ("tailed-0", 40.08863163669062),
+            ("tailed-500", 39.959509008244275),
+            ("hom-300k", 1.5403403662560222),
+        ],
+    )
+    def test_floor_within_1e9_of_the_pinned_solve(self, case, pinned):
+        hist, period, kw = self._case(case)
+        assert hs.estimate_background(hist, period, **kw) == pytest.approx(pinned, rel=1e-9)
 
 
 class TestCombInputs:

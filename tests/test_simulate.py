@@ -634,6 +634,25 @@ class TestRunSimulationRegression:
             },
         )
 
+    def test_tags_jittered_below_zero_dropped(self, monkeypatch):
+        # a 2 ns FWHM IRF at a 2 ns period: two tags of the first pulses
+        # land below 0 ps and are dropped, in the first of two blocks
+        det = hs.DetectorSpec(irf_fwhm_ps=2000.0, dark_rate_cps=50000.0, efficiency=0.8)
+        e1 = emitter_short_t2(emission_prob=0.9, double_prob=0.1)
+        e2 = emitter_long_t2(emission_prob=0.9)
+        self._check(
+            monkeypatch, (e1, e2, reference_circuit(), det, _train(100000, rep=500.0)), 505,
+            "0686d6a1b8c07408afc857c8d1a90df2978c77870c504b497d242806b6cf4104",
+            {
+                "photons_emitted": 188637,
+                "photons_detected": 150971,
+                "dark_counts": 23,
+                "dead_time_pruned": 0,
+                "pairs_interfered": 48518,
+                "tags_written": 150994,
+            },
+        )
+
 
 class TestTagClockBound:
     """Every time a spec can produce must fit the int64 picosecond clock."""
