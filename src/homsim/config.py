@@ -12,6 +12,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
 
+from .correlate import _grid_bins
 from .model import (
     CircuitSpec,
     ConfigurationError,
@@ -33,9 +34,9 @@ class AnalysisSpec:
     background_correction: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("bin_width_ps", "window_ps", "delta_t_ps"):
-            if not 0 < getattr(self, name) < float("inf"):
-                raise ValidationError("analysis.%s must be positive and finite" % name)
+        _grid_bins(self.bin_width_ps, self.window_ps, "analysis.", ValidationError)
+        if not 0 < self.delta_t_ps < float("inf"):
+            raise ValidationError("analysis.delta_t_ps must be positive and finite")
         if self.n_side < 2 or self.n_side % 2:
             raise ValidationError("analysis.n_side must be an even count >= 2")
 
@@ -81,18 +82,12 @@ def _arm_transmission(value, path):
     return tuple(_number(v, "%s[%d]" % (path, i)) for i, v in enumerate(value))
 
 
-def _optional_number(value, path):
-    if value is None:
-        return None
-    return _number(value, path)
-
-
 # Reader for each field annotation used by the spec dataclasses.
 _READERS = {
     "float": _number,
     "int": _integer,
     "bool": _boolean,
-    "float | None": _optional_number,
+    "float | None": lambda value, path: None if value is None else _number(value, path),
     "tuple[float, float, float, float]": _arm_transmission,
 }
 
@@ -165,7 +160,5 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 def config_digest(cfg: ScenarioConfig) -> str:
     """Stable SHA-256 over the canonical JSON form."""
-    canonical = json.dumps(
-        scenario_to_dict(cfg), sort_keys=True, separators=(",", ":")
-    )
+    canonical = json.dumps(scenario_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

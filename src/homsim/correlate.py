@@ -80,6 +80,24 @@ def _zero_counts(n_bins):
         raise ConfigurationError("%g bins do not fit in memory (%s)" % (n_bins, exc)) from exc
 
 
+def _grid_bins(bin_width_ps, window_ps, prefix="", error=ConfigurationError) -> int:
+    """The bin count 2*window/bin_width of a correlation grid: an even count
+    >= 2 of bins >= 1 ps wide (tags are integer ps). prefix goes before the
+    field an error names; error is raised for a count that breaks the rule."""
+    if not 1.0 <= bin_width_ps < np.inf:
+        raise ValidationError("%sbin_width_ps must be finite and >= 1 ps" % prefix)
+    if not 0.0 < window_ps < np.inf:
+        raise ValidationError("%swindow_ps must be positive and finite" % prefix)
+    quotient = 2.0 * window_ps / bin_width_ps
+    if not (1.0 <= quotient < math.inf and abs(quotient / 2.0 - round(quotient / 2.0)) <= 5e-10):
+        raise error(
+            "correlation window %g ps over bin width %g ps gives %g bins, not an even "
+            "count >= 2: %sbin_width_ps must split twice the window evenly"
+            % (window_ps, bin_width_ps, quotient, prefix)
+        )
+    return 2 * round(quotient / 2.0)
+
+
 def _histogram_slice(stream, start, stop, below, above, hist):
     """Counts on hist's grid of the pairs whose channel-0 tag is one of tags
     [start, stop). For integer tags, t1 >= t0 - window exactly when
@@ -109,18 +127,7 @@ def cross_correlate(
     channel-0 tags in the short run of channel-1 tags in reach of it, with
     exact integer delays at any tag time.
     """
-    if not (np.isfinite(bin_width_ps) and np.isfinite(window_ps)):
-        raise ValidationError("bin_width_ps and window_ps must be finite")
-    if bin_width_ps < 1.0:
-        raise ValidationError("bin_width_ps must be >= 1 ps")
-    quotient = 2.0 * window_ps / bin_width_ps
-    if not math.isfinite(quotient):
-        raise ConfigurationError(
-            "correlation window %g ps over bin width %g ps gives no finite bin count"
-            % (window_ps, bin_width_ps)
-        )
-    n_bins = max(int(round(quotient)), 0)
-    # CorrelationHistogram checks the grid
+    n_bins = _grid_bins(bin_width_ps, window_ps)
     hist = CorrelationHistogram(float(bin_width_ps), float(window_ps), _zero_counts(n_bins))
     # the stream guarantees sorted times in [0, TAG_CLOCK_PS) and channels 0/1
     n, ones = stream.n_records, np.count_nonzero(stream.channels)
@@ -177,9 +184,7 @@ def estimate_background(
     """
     _check_comb(hist, period_ps, delay_ps)
     if hist.window_ps < 1.5 * period_ps:
-        raise ConfigurationError(
-            "background estimation needs the window to cover >= 3 periods"
-        )
+        raise ConfigurationError("background estimation needs the window to cover >= 3 periods")
     centers = hist.bin_centers_ps
     k_max = int(np.ceil((hist.window_ps + abs(delay_ps)) / period_ps)) + 1
     peak_pos = _peak_centers(period_ps, delay_ps, np.arange(-k_max, k_max + 1))
@@ -344,9 +349,7 @@ def hom_visibility(g_delayed, g_synced, err_delayed: float = 0.0, err_synced: fl
     if g_synced < 0:
         raise ValidationError("synchronized ratio must be >= 0")
     v = (g_delayed - g_synced) / g_delayed
-    v_err = np.hypot(
-        g_synced * err_delayed / g_delayed**2, err_synced / g_delayed
-    )
+    v_err = np.hypot(g_synced * err_delayed / g_delayed**2, err_synced / g_delayed)
     return float(v), float(v_err)
 
 
@@ -376,11 +379,17 @@ def timetrace(
         raise ValidationError("bin_width_ps must be finite and >= 1 ps")
     period = train.period_ps
     n_bins = int(np.ceil(period / bin_width_ps))
+    # period = whole / den exactly, so whole ps is a whole number of periods, and
+    # below 2^53 unless the period is whole. A float fold is exact for tags below
+    # 2^53 ps, and for tags past it once reduced modulo whole ps.
+    whole = period.as_integer_ratio()[0]
 
     def fold(start, stop):
         times = stream.times_ps[start:stop]
         if channel is not None:
             times = times[stream.channels[start:stop] == channel]
+        if times.size and times[-1] >= max(whole, 2**53):  # so whole fits int64
+            times = times % whole
         phase = np.mod(times.astype(np.float64), period)
         phase /= bin_width_ps
         idx = np.floor(phase, out=phase).astype(np.int64)

@@ -3,7 +3,7 @@
 PTG1 layout (all little-endian): magic "PTG1" (4 bytes), version u16 = 1,
 resolution_ps u64, record_count u64 — a 22-byte header — followed by
 record_count fixed 16-byte records: time u64, channel u8, 7 reserved zero
-bytes. Tag times are integer picoseconds below TAG_CLOCK_PS: the writer
+bytes. Tag times are integer picoseconds on TimeTagStream's clock: the writer
 sets resolution_ps to 1, and the reader rejects any other value rather than
 take its ticks for picoseconds. Fixed-stride records allow chunked or
 memory-mapped reads; the reader reports malformed input with exact byte
@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 
 from .correlate import CorrelationHistogram, PeakAnalysis, Timetrace
 from .model import ValidationError
-from .simulate import TAG_CLOCK_PS, TimeTagStream
+from .simulate import TimeTagStream, _check_tags
 
 PTG1_MAGIC = b"PTG1"
 PTG1_VERSION = 1
@@ -46,7 +47,8 @@ def write_ptg1(path, stream: TimeTagStream) -> None:
 
 def read_ptg1(path) -> TimeTagStream:
     """Read a tag file one record slice at a time, rejecting malformed
-    content with byte offsets."""
+    content with byte offsets. The records obey TimeTagStream's rules; an
+    error names the first record that breaks one."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -60,9 +62,7 @@ def read_ptg1(path) -> TimeTagStream:
                 "bad magic %r at byte offset 0 (expected %r)" % (magic, PTG1_MAGIC)
             )
         if version != PTG1_VERSION:
-            raise ValidationError(
-                "unsupported version %d at byte offset 4" % version
-            )
+            raise ValidationError("unsupported version %d at byte offset 4" % version)
         if resolution != 1:
             raise ValidationError(
                 "unsupported resolution %d ps at byte offset 6 (tags are 1 ps)" % resolution
@@ -82,32 +82,20 @@ def read_ptg1(path) -> TimeTagStream:
                 raise ValidationError("file shrank while read, at byte offset %d" % fh.tell())
             times[i : i + part.size] = part["time"]
             channels[i : i + part.size] = part["channel"]
-    bad = np.flatnonzero(times[1:] < times[:-1])
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ValidationError(
-            "unsorted record %d at byte offset %d: time %d follows %d"
-            % (i, _HEADER.size + i * _RECORD_DTYPE.itemsize, times[i], times[i - 1])
-        )
-    if count and times[0] < 0:  # sorted, so any time of 2^63 or more is first
-        raise ValidationError(
-            "time %d of record 0 at byte offset %d exceeds the int64 tag clock"
-            % (int(times[0]) + 2**64, _HEADER.size)
-        )
-    i = int(np.searchsorted(times, TAG_CLOCK_PS))
-    if i < count:
-        raise ValidationError(
-            "time %d of record %d at byte offset %d is past the %d ps tag clock"
-            % (times[i], i, _HEADER.size + i * _RECORD_DTYPE.itemsize, TAG_CLOCK_PS)
-        )
-    bad_ch = np.flatnonzero(channels > 1)
-    if bad_ch.size:
-        i = int(bad_ch[0])
-        raise ValidationError(
-            "invalid channel %d in record %d at byte offset %d"
-            % (channels[i], i, _HEADER.size + i * _RECORD_DTYPE.itemsize + 8)
-        )
-    return TimeTagStream(times_ps=times, channels=channels)
+    try:
+        return TimeTagStream(times_ps=times, channels=channels)
+    except ValidationError:
+        pass  # checked again below, naming the first bad record's byte offset
+
+    def at(i, field):
+        offset = _HEADER.size + i * _RECORD_DTYPE.itemsize + _RECORD_DTYPE.fields[field][1]
+        return " at byte offset %d" % offset
+
+    # u64 times of 2^63 and more read as negative int64 times
+    i = int(np.argmax(times < 0)) if times.min() < 0 else count
+    _check_tags(times[:i], channels[:i], at)
+    msg = "time %d of record %d%s exceeds the int64 tag clock"
+    raise ValidationError(msg % (int(times[i]) + 2**64, i, at(i, "time")))
 
 
 def _number_format(values) -> str:
@@ -188,9 +176,13 @@ def read_csv_header(path) -> dict:
 def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Two-column numeric CSV ('#' comments allowed) -> (x, y) arrays."""
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise ValidationError("could not parse %s as numeric CSV: %s" % (path, exc))
+    if not data.size:
+        raise ValidationError("%s has no data rows" % path)
     if data.shape[1] != 2:
         raise ValidationError("%s must have two numeric columns, not %d" % (path, data.shape[1]))
     return data[:, 0], data[:, 1]

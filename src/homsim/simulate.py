@@ -75,12 +75,36 @@ _CHUNK_PULSES = 1 << 16
 TAG_CLOCK_PS = 1 << 62
 
 
+def _check_tags(times, channels, where=lambda i, field: "") -> None:
+    """Raises a ValidationError naming the index and value of the first tag
+    that breaks a stream rule: times sorted and in [0, TAG_CLOCK_PS) ps,
+    channels 0 or 1. where(i, field) says where tag i's "time" or "channel" is."""
+    if times.size != channels.size:
+        raise ValidationError("times and channels must have equal length")
+    unsorted, bad = times[1:] < times[:-1], (channels != 0) & (channels != 1)
+    on_clock = not times.size or (times[0] >= 0 and times[-1] < TAG_CLOCK_PS)
+    if on_clock and not unsorted.any() and not bad.any():
+        return
+    bad |= (times < 0) | (times >= TAG_CLOCK_PS)
+    bad[1:] |= unsorted
+    i = int(np.argmax(bad))
+    t, at = int(times[i]), where(i, "time")
+    if i and t < times[i - 1]:
+        raise ValidationError("unsorted record %d%s: time %d follows %d" % (i, at, t, times[i - 1]))
+    if not 0 <= t < TAG_CLOCK_PS:
+        msg = "time %d of record %d%s is past the bounds: tag times must lie in [0, 2^62) ps"
+        raise ValidationError(msg % (t, i, at))
+    msg = "invalid channel %d in record %d%s: channels must be 0 or 1"
+    raise ValidationError(msg % (channels[i], i, where(i, "channel")))
+
+
 @dataclass(frozen=True)
 class TimeTagStream:
     """Detector output: channel/time records sorted by time.
 
     times_ps are integer picoseconds in [0, TAG_CLOCK_PS); channels are
-    0/1. run_simulation sets seed; config_digest stays None until the tag
+    0/1: rules that live in _check_tags, whose error names the first bad
+    tag. run_simulation sets seed; config_digest stays None until the tag
     file carries provenance (ROADMAP item 7).
     """
 
@@ -90,18 +114,7 @@ class TimeTagStream:
     config_digest: str | None = None
 
     def __post_init__(self) -> None:
-        if self.times_ps.size != self.channels.size:
-            raise ValidationError("times and channels must have equal length")
-        if self.times_ps.size:
-            if np.any(self.times_ps[1:] < self.times_ps[:-1]):
-                raise ValidationError("time tags must be sorted ascending")
-            if not (self.times_ps[0] >= 0 and self.times_ps[-1] < TAG_CLOCK_PS):
-                raise ValidationError(
-                    "tag times must lie in [0, %d) ps; got %d to %d"
-                    % (TAG_CLOCK_PS, self.times_ps[0], self.times_ps[-1])
-                )
-            if np.any((self.channels != 0) & (self.channels != 1)):
-                raise ValidationError("channels must be 0 or 1")
+        _check_tags(self.times_ps, self.channels)
 
     @property
     def n_records(self) -> int:
@@ -142,24 +155,16 @@ def _worker_count() -> int:
 
 def _map_chunks(fn, items):
     """Yields fn(item) for each item in order, from a pool of _worker_count()
-    threads that runs at most two items per thread ahead of the consumer.
-
-    A result is kept until two items per thread have followed it: dropped at
-    once, it frees the top of its worker's heap, which glibc hands back to
-    the system each time, and faulting it in again cost run_simulation 10 %
-    more CPU time with two workers on a 2-core x86 machine.
-    """
+    threads that runs at most two items per thread ahead of the consumer."""
     workers = _worker_count()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead, behind = deque(), deque(maxlen=2 * workers)
+        ahead = deque()
         for item in items:
             ahead.append(pool.submit(fn, item))
             if len(ahead) > 2 * workers:
-                behind.append(ahead.popleft())
-                yield behind[-1].result()
+                yield ahead.popleft().result()
         while ahead:
-            behind.append(ahead.popleft())
-            yield behind[-1].result()
+            yield ahead.popleft().result()
 
 
 def _block_rng(seed: int, stream: int, block: int) -> Generator:

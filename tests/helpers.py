@@ -7,6 +7,9 @@ T2 = 440 ps), both with a weak 12 ns slow decay component.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 import homsim as hs
@@ -227,15 +230,18 @@ def prune_dead_time_reference(times, channels, dead_ps):
 
 
 def timetrace_reference(stream, train, bin_width_ps, channel=None):
-    """Whole-array period fold of the tag times, copying the whole stream.
+    """Whole-array period fold of the tag times in exact rational arithmetic.
 
-    Reference for correlate.timetrace, which folds one slice at a time.
+    Reference for correlate.timetrace, which folds one slice at a time in
+    floats. With period = num / den and bin width a / b, a tag t lies in bin
+    floor((t den mod num) b / (a den)), capped at the last bin.
     """
     times = stream.times_ps
     if channel is not None:
         times = times[stream.channels == channel]
-    period = train.period_ps
-    n_bins = int(np.ceil(period / bin_width_ps))
-    folded = np.mod(np.asarray(times, dtype=np.float64), period)
-    idx = np.minimum(np.floor(folded / bin_width_ps).astype(np.int64), n_bins - 1)
-    return np.bincount(idx, minlength=n_bins).astype(np.int64)
+    period, width = Fraction(train.period_ps), Fraction(bin_width_ps)
+    n_bins = math.ceil(period / width)
+    num, den = period.numerator, period.denominator
+    phase = times.astype(object) * den % num  # Python integers: exact at any size
+    idx = (phase * width.denominator // (width.numerator * den)).astype(np.int64)
+    return np.bincount(np.minimum(idx, n_bins - 1), minlength=n_bins).astype(np.int64)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -347,7 +348,8 @@ class TestCorrelateCommand:
     def test_bin_count_that_overflows_exits_2_naming_the_window(
         self, run, sim_artifacts, tmp_path, command
     ):
-        # 2 * 1e308 / bin width overflows to inf; AnalysisSpec takes 1e308 as finite
+        # 2 * 1e308 / bin width overflows to inf; analyze-hom fails as the scenario
+        # loads, before it reads the tags
         cfg = write_config(tmp_path, analysis={"window_ps": 1e308})
         args = {
             "correlate": ["--window-ps", "1e308", "--bin-width-ps", 1, "--out", tmp_path / "c.csv"],
@@ -552,8 +554,9 @@ def _with(values, i, bad):
     return out
 
 
-# (arguments, two-column data or None, analysis block or None); "{tags}",
-# "{config}", "{data}" and "{tmp}" are filled in by the test
+# (arguments, data file as two columns or as its text or None, analysis
+# block or None); "{tags}", "{config}", "{data}" and "{tmp}" are filled in
+# by the test
 _NON_FINITE_CASES = {
     "correlate-bin-nan": (["correlate", "--tags", "{tags}", "--bin-width-ps", "nan",
                            "--out", "{tmp}/c.csv"], None, None),
@@ -609,6 +612,11 @@ _NON_FINITE_CASES = {
     "calib-dolp-raw-nan": (["calib-dolp", "--data", "{data}", "--raw"],
                            (_ANGLES, _with(2 + np.cos(np.radians(2 * _ANGLES)), 3, np.nan)),
                            None),
+    # files without a data row
+    "calib-fringe-empty-file": (["calib-fringe", "--data", "{data}"], "", None),
+    "calib-loss-blank-file": (["calib-loss", "--data", "{data}"], "\n\n\n", None),
+    "fit-decay-header-only": (["fit-decay", "--data", "{data}", "--irf-fwhm-ps", "80"],
+                              "# bin_width_ps=20\n# period_ps=13157.9\n", None),
 }
 
 
@@ -618,14 +626,19 @@ def test_non_finite_or_too_short_input_exits_2_without_a_result(
 ):
     args, data, analysis = _NON_FINITE_CASES[case]
     fill = {"tags": sim_artifacts["tags"], "config": sim_artifacts["config"], "tmp": tmp_path}
-    if data is not None:
+    if isinstance(data, str):
+        fill["data"] = tmp_path / "data.csv"
+        fill["data"].write_text(data)
+    elif data is not None:
         fill["data"] = write_xy(tmp_path, *data)
     if analysis is not None:
         fill["config"] = write_config(tmp_path, analysis=analysis)  # NaN, Infinity
-    code, out, err = run(*(a.format(**fill) for a in args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(*(a.format(**fill) for a in args))
     assert code == 2
-    assert err.startswith("error:") and "Traceback" not in err
-    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert out == "" and caught == []
 
 
 class TestExitCodes:

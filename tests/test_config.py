@@ -255,6 +255,15 @@ class TestAnalysisDefaults:
         with pytest.raises(hs.ValidationError, match="analysis.%s" % key):
             parse_dict(d)
 
+    @pytest.mark.parametrize("bin_width", [0.5, 30.0])
+    def test_bin_width_off_the_correlation_grid_rejected(self, bin_width):
+        # tags are whole picoseconds, and 30 ps splits the default 160 ns of
+        # the +-80 ns window into 5333.33 bins
+        d = base_dict()
+        d["analysis"] = {"bin_width_ps": bin_width}
+        with pytest.raises(hs.ValidationError, match="analysis.bin_width_ps"):
+            parse_dict(d)
+
     @pytest.mark.parametrize("n_side", [0, 1, 5, -2])
     def test_odd_or_small_side_peak_count_rejected(self, n_side):
         d = base_dict()

@@ -1,5 +1,7 @@
 """Correlator, peak integration, background floor, visibility estimators."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -496,11 +498,39 @@ class TestTimetrace:
         with pytest.raises(hs.ValidationError, match="bin_width_ps"):
             hs.timetrace(make_stream([100, 200], [300]), train, bin_width_ps=bin_width)
 
+    @pytest.mark.parametrize("rep_rate_mhz,bin_width", [(76.0, 20.0), (80.0, 20.0), (76.0, 1.0)])
+    def test_fold_is_exact_up_to_the_tag_clock(self, rep_rate_mhz, bin_width):
+        # a float64 fold of 2^58 + 12345 ps at 76 MHz is 7 ps off, and one of
+        # 2^62 - 12345 ps 57 ps off
+        rng = np.random.default_rng(62)
+        clock = hs.simulate.TAG_CLOCK_PS
+        times = np.concatenate((
+            [2**58 + 12345, clock - 12345, clock - 1],
+            clock - rng.integers(1, 2**40, size=3000),
+            rng.integers(2**53, clock, size=3000),
+        ))
+        times.sort()
+        stream = make_stream(times[::2], times[1::2])
+        train = hs.PulseTrainSpec(rep_rate_mhz=rep_rate_mhz, n_pulses=1)
+        trace = hs.timetrace(stream, train, bin_width_ps=bin_width)
+        assert np.array_equal(trace.counts, timetrace_reference(stream, train, bin_width))
+        one = hs.timetrace(make_stream([2**58 + 12345], []), train, bin_width_ps=bin_width)
+        k = (Fraction(2**58 + 12345) % Fraction(train.period_ps)) // Fraction(bin_width)
+        assert one.counts[k] == 1
+
+    def test_period_past_the_tag_clock_folds_without_overflow(self):
+        # a 1e19 ps period is a whole number of picoseconds past int64
+        train = hs.PulseTrainSpec(rep_rate_mhz=1e-13, n_pulses=1)
+        stream = make_stream([5, 2**61], [2**62 - 1])
+        trace = hs.timetrace(stream, train, bin_width_ps=1e17)
+        assert trace.counts.sum() == 3
+        assert np.array_equal(trace.counts, timetrace_reference(stream, train, 1e17))
+
     @pytest.mark.parametrize("bin_width", [20.0, 7.5, 1.25])
     @pytest.mark.parametrize("channel", [None, 0, 1])
     def test_slice_sweep_equals_whole_stream_fold(self, monkeypatch, bin_width, channel):
-        # three whole slices and 17 tags of a fourth, up to 2^61 ps, where a
-        # float64 holds whole multiples of 512 ps
+        # three whole slices and 17 tags of a fourth, up to 2^61 ps, far past
+        # 2^53 ps, where a float64 stops holding every picosecond
         n = 3 * correlate._SLICE_TAGS + 17
         rng = np.random.default_rng(12)
         times = np.sort(rng.integers(0, 2**61, size=n))

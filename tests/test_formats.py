@@ -1,10 +1,15 @@
 """File formats: PTG1 binary tags, CSV tables, JSON reports."""
 
 import json
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homsim as hs
 from homsim import formats
@@ -121,6 +126,20 @@ class TestPtg1Malformed:
         with pytest.raises(hs.ValidationError, match=msg):
             formats.read_ptg1(p)
 
+    def test_time_beyond_the_int64_clock_after_good_records_reports_its_offset(self, tmp_path):
+        # record 1 reads as a negative int64 time: offset 22 + 1*16 = 38
+        p = _raw_file(tmp_path, records=[(100, 0), (2**63 + 5, 1)])
+        msg = "time 9223372036854775813 of record 1 at byte offset 38 exceeds the int64"
+        with pytest.raises(hs.ValidationError, match=msg):
+            formats.read_ptg1(p)
+
+    def test_bad_channel_before_a_time_beyond_the_int64_clock_is_reported_first(self, tmp_path):
+        # record 1's channel byte (offset 46) is bad before record 2's time is
+        p = _raw_file(tmp_path, records=[(100, 0), (200, 7), (2**63 + 5, 1)])
+        msg = "invalid channel 7 in record 1 at byte offset 46"
+        with pytest.raises(hs.ValidationError, match=msg):
+            formats.read_ptg1(p)
+
     def test_time_past_the_tag_clock_reports_its_offset(self, tmp_path):
         # record 2 is the first at 2^62 ps or later: offset 22 + 2*16 = 54
         p = _raw_file(tmp_path, records=[(100, 0), (2**62 - 1, 1), (2**62, 0), (2**62 + 3, 1)])
@@ -152,6 +171,50 @@ class TestPtg1Malformed:
         p = _raw_file(tmp_path, records=[(100, 0), (100, 1), (100, 0)])
         back = formats.read_ptg1(p)
         assert back.n_records == 3
+
+
+@st.composite
+def _one_bad_record(draw):
+    """A valid stream's times and channels with one corruption, the index of
+    the first bad record and the field that makes it bad."""
+    n = draw(st.integers(1, 40))
+    times = 1 + np.cumsum(draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n)))
+    channels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.uint8)
+    kind = draw(st.sampled_from(("clock", "channel") + (("unsorted",) if n > 1 else ())))
+    k = draw(st.integers(1 if kind == "unsorted" else 0, n - 1))
+    if kind == "unsorted":  # record k moved below record k - 1, and still >= 0
+        times[k] = times[k - 1] - draw(st.integers(1, int(times[k - 1])))
+    elif kind == "clock":  # records k on moved to 2^62 ps or later, in order
+        rest = times[k:] - times[k]
+        times[k:] = rest + draw(st.integers(2**62, 2**63 - 1 - int(rest[-1])))
+    else:
+        channels[k] = draw(st.integers(2, 255))
+    return times.astype(np.int64), channels, k, "channel" if kind == "channel" else "time"
+
+
+class TestFirstBadRecord:
+    """The tag file reader and TimeTagStream name the same first bad record:
+    the reader by its byte offset (+8 for the channel byte), the stream by
+    its index."""
+
+    @given(_one_bad_record())
+    @settings(max_examples=150, deadline=None)
+    def test_reader_names_the_byte_offset_of_the_first_bad_record(self, case):
+        times, channels, k, field = case
+        with tempfile.TemporaryDirectory() as tmp:
+            p = _raw_file(Path(tmp), records=list(zip(times.tolist(), channels.tolist())))
+            with pytest.raises(hs.ValidationError) as exc:
+                formats.read_ptg1(p)
+        offset = 22 + 16 * k + (8 if field == "channel" else 0)
+        assert "record %d at byte offset %d" % (k, offset) in str(exc.value)
+
+    @given(_one_bad_record())
+    @settings(max_examples=150, deadline=None)
+    def test_stream_names_the_index_of_the_first_bad_record(self, case):
+        times, channels, k, _ = case
+        with pytest.raises(hs.ValidationError) as exc:
+            hs.TimeTagStream(times_ps=times, channels=channels)
+        assert [int(i) for i in re.findall(r"record (\d+)", str(exc.value))] == [k]
 
 
 class TestHistogramCsv:
