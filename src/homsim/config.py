@@ -12,7 +12,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
 
-from .correlate import _grid_bins
+from .correlate import _comb_ks, _dead_zone_edge, _grid_bins
 from .model import (
     CircuitSpec,
     ConfigurationError,
@@ -50,6 +50,12 @@ class ScenarioConfig:
     train: PulseTrainSpec
     seed: int
     analysis: AnalysisSpec = field(default_factory=AnalysisSpec)
+
+    def __post_init__(self) -> None:
+        # analyze-hom's comb rules that the period sets: a scenario fails before simulate runs
+        a, period = self.analysis, self.train.period_ps
+        _dead_zone_edge(period, a.window_ps, a.bin_width_ps, a.delta_t_ps, "analysis.")
+        _comb_ks(period, a.window_ps, a.delta_t_ps, a.n_side, prefix="analysis.")
 
 
 def _expect_mapping(obj, path):

@@ -152,6 +152,34 @@ def _peak_centers(period_ps, delay_ps, k_values):
     return delay_ps + period_ps * np.asarray(k_values, dtype=float)
 
 
+def _dead_zone_edge(period_ps, window_ps, bin_width_ps, delta_t_ps, prefix="") -> float:
+    """delta_t/2 plus a bin, how far past a peak centre estimate_background's
+    dead zones start. A window of 3 periods holds two whole gaps between peaks,
+    each with a bin centre in its dead zone when that is longer than a bin."""
+    if window_ps < 1.5 * period_ps:
+        raise ConfigurationError("%swindow_ps must cover >= 3 periods for the floor fit" % prefix)
+    edge = delta_t_ps / 2.0 + bin_width_ps
+    if not period_ps - 2.0 * edge > bin_width_ps:
+        msg = "no dead-zone bins between peaks; reduce %sdelta_t_ps or %sbin_width_ps"
+        raise ConfigurationError(msg % (prefix, prefix))
+    return edge
+
+
+def _comb_ks(period_ps, window_ps, delta_t_ps, n_side, delay_ps=0.0, prefix="") -> np.ndarray:
+    """integrate_peaks's peaks k = -n_side/2 .. n_side/2, whose windows of
+    delta_t_ps must keep apart and fit in the histogram window."""
+    if not 0 < delta_t_ps <= period_ps:
+        msg = "%sdelta_t_ps %g ps must be positive and at most the period %g ps (peaks overlap)"
+        raise ConfigurationError(msg % (prefix, delta_t_ps, period_ps))
+    if n_side < 2 or n_side % 2:
+        raise ConfigurationError("%sn_side must be a positive even count of side peaks" % prefix)
+    outermost = n_side // 2 * period_ps + abs(delay_ps) + delta_t_ps / 2.0
+    if outermost > window_ps:
+        msg = "%sn_side peak comb (outermost edge %g ps) does not fit in the +-%g ps %swindow_ps"
+        raise ConfigurationError(msg % (prefix, outermost, window_ps, prefix))
+    return np.arange(-(n_side // 2), n_side // 2 + 1)
+
+
 def estimate_background(
     hist: CorrelationHistogram,
     period_ps: float,
@@ -183,8 +211,7 @@ def estimate_background(
     fit, to its tolerances of 1e-8.
     """
     _check_comb(hist, period_ps, delay_ps)
-    if hist.window_ps < 1.5 * period_ps:
-        raise ConfigurationError("background estimation needs the window to cover >= 3 periods")
+    edge = _dead_zone_edge(period_ps, hist.window_ps, hist.bin_width_ps, delta_t_ps)
     centers = hist.bin_centers_ps
     k_max = int(np.ceil((hist.window_ps + abs(delay_ps)) / period_ps)) + 1
     peak_pos = _peak_centers(period_ps, delay_ps, np.arange(-k_max, k_max + 1))
@@ -192,12 +219,7 @@ def estimate_background(
     right = np.searchsorted(peak_pos, centers)
     past = centers - peak_pos[right - 1]
     before = peak_pos[right] - centers
-    edge = delta_t_ps / 2.0 + hist.bin_width_ps
     dead = np.minimum(past, before) > edge
-    if not np.any(dead):
-        raise ConfigurationError(
-            "no dead-zone bins between peaks; reduce delta_t_ps or enlarge window"
-        )
     y = hist.counts[dead].astype(float)
     # tails are measured from the dead-zone edges, where they are largest
     past = past[dead] - edge
@@ -280,22 +302,7 @@ def integrate_peaks(
     the mean together with the central Poisson error.
     """
     _check_comb(hist, period_ps, delay_ps)
-    if delta_t_ps <= 0:
-        raise ValidationError("delta_t_ps must be positive")
-    if delta_t_ps > period_ps:
-        raise ConfigurationError(
-            "integration window %g ps exceeds the period %g ps (peaks overlap)"
-            % (delta_t_ps, period_ps)
-        )
-    if n_side < 2 or n_side % 2 != 0:
-        raise ConfigurationError("n_side must be a positive even count of side peaks")
-    ks = np.arange(-(n_side // 2), n_side // 2 + 1)
-    outermost = np.max(np.abs(ks)) * period_ps + abs(delay_ps) + delta_t_ps / 2.0
-    if outermost > hist.window_ps:
-        raise ConfigurationError(
-            "peak comb (outermost edge %g ps) does not fit in the +-%g ps window"
-            % (outermost, hist.window_ps)
-        )
+    ks = _comb_ks(period_ps, hist.window_ps, delta_t_ps, n_side, delay_ps)
     centers = hist.bin_centers_ps
     peak_pos = _peak_centers(period_ps, delay_ps, ks)
     raw = np.empty(ks.size, dtype=float)

@@ -174,11 +174,11 @@ def read_csv_header(path) -> dict:
 
 
 def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column numeric CSV ('#' comments allowed) -> (x, y) arrays."""
+    """Two-column numeric CSV ('#' comments and blank lines allowed) -> (x, y) arrays."""
     try:
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+            data = np.loadtxt((ln for ln in fh if ln.strip()), delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise ValidationError("could not parse %s as numeric CSV: %s" % (path, exc))
     if not data.size:

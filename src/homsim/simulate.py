@@ -33,7 +33,8 @@ next kind; a Gaussian takes two words, see _gauss):
     1, 2  source 1, 2: an emit word per pulse; a slow-branch word, then a
           decay word, per primary photon; if double_prob > 0, a double-
           emission word per primary and a decay word per extra photon; if
-          spectral diffusion > 0, a Gaussian per primary, then per extra
+          spectral diffusion > 0, a Gaussian per primary, then per extra,
+          whose words become offsets only for the interfering pairs
     3     circuit, photons slot-major and pairs in pulse order: a survival
           word per photon, a route word per classical photon, an outcome,
           then an assignment word per interfering pair, an output-loss word
@@ -241,25 +242,24 @@ def _blink_gate(
     carry from _blink_carries, which an undecided first pulse takes."""
     on, decided = _blink_words(emitter, train, seed, source_id, block)
     if not decided[0]:
-        on[0] = carry
-        decided[0] = True
-    last = np.where(decided, np.arange(on.size), 0)
-    np.maximum.accumulate(last, out=last)
-    return on[last]
+        on[0], decided[0] = carry, True
+    at = np.flatnonzero(decided)
+    return np.repeat(on[at], np.diff(at, append=on.size))
 
 
 def _emission_columns(
     emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int, carries
 ):
-    """One source's photons of pulse block `block`, as columns (pulse, t, f)
+    """One source's photons of pulse block `block`, as columns (pulse, t, w)
     with k and slow.
 
     The first k photons are the primaries, one per emitting pulse, and the
     rest the extra slow-branch photons, which a pulse only has when it has a
     primary; each group is in pulse order. pulse is a photon's pulse in the
-    block, t its emission time and f its spectral-diffusion offset; f is None
-    without diffusion. slow flags the primaries that took the slow branch.
-    carries are the emitter's _blink_carries; None leaves them ungated.
+    block, t its emission time and w[:, j] the two words of its spectral-
+    diffusion Gaussian (_gauss); w is None without diffusion. slow flags the
+    primaries that took the slow branch. carries are the emitter's
+    _blink_carries; None leaves them ungated.
     """
     p0 = block * _CHUNK_PULSES
     rng = _block_rng(seed, source_id, block)
@@ -284,20 +284,19 @@ def _emission_columns(
         double = rng.random(k) < emitter.double_prob
         pulse = np.concatenate((pulse, pulse[double]))
         t = np.concatenate((t, decay(start[double], emitter.t1_slow_ps)))
-    sd = emitter.spectral_diffusion_sigma_uev
-    f = None
-    if sd > 0.0:
-        f = np.concatenate([sd * _gauss(rng.random((2, m))) for m in (k, pulse.size - k)])
-    return pulse, t, f, k, slow
+    w = None
+    if emitter.spectral_diffusion_sigma_uev > 0.0:
+        w = np.concatenate([rng.random((2, m)) for m in (k, pulse.size - k)], axis=1)
+    return pulse, t, w, k, slow
 
 
-def _order_slots(pulse, t, f, k):
+def _order_slots(pulse, t, w, k):
     """Swap, in place, the two photons of each of one source's double-emitting
     pulses where the extra one is earlier, so that the primary is the earlier."""
     first = np.searchsorted(pulse[:k], pulse[k:])
     swap = np.flatnonzero(t[k:] < t[first])
     a, b = first[swap], k + swap
-    for col in (t,) if f is None else (t, f):
+    for col in (t,) if w is None else (t, w.T):
         col[a], col[b] = col[b], col[a]
 
 
@@ -312,9 +311,9 @@ def _route_chunk(
     The block's photons are taken slot-major, source 1's and then source 2's:
     photon j >= n1 is source 2's photon j - n1. A tag's key is 2 * time + channel.
     """
-    for pulse, t, f, k, _ in photons:
-        _order_slots(pulse, t, f, k)
-    (p1, t1, f1, _, _), (p2, t2, f2, _, _) = photons
+    for pulse, t, w, k, _ in photons:
+        _order_slots(pulse, t, w, k)
+    (p1, t1, w1, _, _), (p2, t2, w2, _, _) = photons
     n1 = t1.size
     rng = _block_rng(seed, _STREAM_CIRCUIT, block)
     tin = circuit.arm_transmission
@@ -328,8 +327,7 @@ def _route_chunk(
         odd[pulse[k:][s[k:]]] ^= True
         paired &= odd
     in_pair = np.concatenate((paired[p1], paired[p2]))
-    r = circuit.reflectance
-    t = circuit.transmittance
+    r, t = circuit.reflectance, circuit.transmittance
 
     # Output channel per photon; -1 = lost. Every surviving photon not in an
     # interfering pair routes classically: a bar (reflected) photon leaves on
@@ -342,9 +340,9 @@ def _route_chunk(
     # pulse order (a merge of its primaries and its extras)
     sa, sb = np.flatnonzero(sv & in_pair).reshape(2, -1)
     sa, sb = (s[np.argsort(p[s], kind="stable")] for p, s in ((p1, sa), (p2, sb - n1)))
-    # the pairs' spectral-diffusion offsets, source 1 minus source 2
-    df = (0.0 if f1 is None else f1[sa]) - (0.0 if f2 is None else f2[sb])
-    d = coherence_kernel(t1[sa] - t2[sb], e1, e2, circuit.overlap, freq_offset_uev=df)
+    f1, f2 = (0.0 if w is None else e.spectral_diffusion_sigma_uev * _gauss(w[:, s])
+              for e, w, s in ((e1, w1, sa), (e2, w2, sb)))  # only the pairs' offsets are read
+    d = coherence_kernel(t1[sa] - t2[sb], e1, e2, circuit.overlap, freq_offset_uev=f1 - f2)
     p_cross = r * r + t * t - 2.0 * r * t * d
     u_cross, u_assign = rng.random((2, sa.size))
     cross = u_cross < p_cross
@@ -402,11 +400,10 @@ def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float, la
     or after t_i + ceil(dead_ps), the tag kept after a kept tag i is nxt[i],
     because every tag before it falls inside i's dead time and every tag
     from it on is clear of it. So the kept tags are the chain start ->
-    nxt[start] -> ..., which pointer doubling marks in about log2(kept)
-    whole-array gathers; start is the first tag at or after last[ch] +
-    ceil(dead_ps). last[ch] is channel ch's last kept tag before these, or
-    None, and is updated in place, so that a sorted stream can be pruned
-    segment by segment.
+    nxt[start] -> ..., which _dead_time_chain marks; start is the first tag
+    at or after last[ch] + ceil(dead_ps). last[ch] is channel ch's last kept
+    tag before these, or None, and is updated in place, so that a sorted
+    stream can be pruned segment by segment.
     """
     keep = np.full(times.size, dead_ps <= 0)
     if dead_ps <= 0:
@@ -422,26 +419,32 @@ def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float, la
         if idx.size:
             on = _dead_time_chain(t, dead)
             keep[idx[on]] = True
-            last[ch] = int(t[on][-1])
+            last[ch] = int(t[::-1][np.argmax(on[::-1])])  # argmax stops at the first True
     return keep
 
 
 def _dead_time_chain(t: np.ndarray, dead: int) -> np.ndarray:
-    """Kept mask of one channel's sorted tags under dead time dead >= 1."""
-    m = t.size
-    on = np.zeros(m + 1, dtype=bool)
-    on[0] = True
+    """Kept mask of one channel's sorted tags under dead time dead >= 1.
+
+    A tag at least dead after the one before it heads a cluster and is kept
+    whatever came before. Only clusters of two or more tags are chained: among
+    their tags, nxt[i] is the first at or after t_i + dead, so each head's chain
+    runs through its cluster's kept tags to the next head."""
     if dead > t[-1] - t[0]:  # only the first tag; also keeps t + dead in int64
-        return on[:m]
-    # jump[i] = nxt[i], with a sentinel m that points at itself.
-    jump = np.append(np.searchsorted(t, t + dead, side="left"), m)
-    # After k rounds the first 2**k links of the chain are marked and jump
-    # is nxt applied 2**k times; once that takes tag 0 to the sentinel the
-    # whole chain is marked.
-    while jump[0] != m:
-        on[jump[on]] = True
+        return np.arange(t.size) == 0
+    on = np.append(True, np.diff(t) >= dead)  # the heads
+    cl = np.flatnonzero(~on | np.append(~on[1:], False))  # the cluster tags
+    tc, kept = t[cl], np.append(on[cl], False)  # kept starts at the heads
+    heads = np.flatnonzero(kept)
+    ends = np.append(heads[1:], cl.size)  # where each head's cluster ends
+    # jump = nxt, with a sentinel that points at itself. After k rounds, the first 2**k
+    # links of each head's chain are marked and jump is nxt applied 2**k times.
+    jump = np.append(np.searchsorted(tc, tc + dead), cl.size)
+    while (jump[heads] < ends).any():
+        kept[jump[kept]] = True
         jump = jump[jump]
-    return on[:m]
+    on[cl] = kept[:-1]
+    return on
 
 
 def _require_representable(
@@ -498,8 +501,7 @@ def run_simulation(
         raise ValidationError("seed must fit in 64 bits")
     _require_representable(emitter1, emitter2, det, train)
     n_blocks = -(-train.n_pulses // _CHUNK_PULSES)
-    emitters = ((1, emitter1), (2, emitter2))
-    sources = [(i, e, _blink_carries(e, train, seed, i)) for i, e in emitters]
+    sources = [(i, e, _blink_carries(e, train, seed, i)) for i, e in ((1, emitter1), (2, emitter2))]
     dark = np.sort(_dark_counts(det, train.span_ps, seed))
     counts = np.zeros(3, dtype=np.int64)  # photons emitted, detected and paired
 

@@ -19,6 +19,7 @@ from homsim.simulate import (
     _blink_carries,
     _block_rng,
     _emission_columns,
+    _gauss,
 )
 
 
@@ -159,14 +160,16 @@ def emission_columns(emitter, train, source_id, seed):
 
     Keys: pulse_a/t_a/slow_a/f_a for the primary photons and pulse_b/t_b/f_b
     for the extra slow-branch photons, one entry per photon that exists, in
-    pulse order; pulse_* are pulse indices in the train. f_* are None without
-    spectral diffusion.
+    pulse order; pulse_* are pulse indices in the train. f_* are the
+    spectral-diffusion offsets that _gauss makes from each photon's words,
+    None without spectral diffusion.
     """
     carries = _blink_carries(emitter, train, seed, source_id)
     cols = {key: [] for key in ("pulse_a", "t_a", "slow_a", "f_a", "pulse_b", "t_b", "f_b")}
     for b in range(-(-train.n_pulses // _CHUNK_PULSES)):
-        pulse, t, f, k, slow = _emission_columns(emitter, train, source_id, seed, b, carries)
+        pulse, t, w, k, slow = _emission_columns(emitter, train, source_id, seed, b, carries)
         pulse = pulse + b * _CHUNK_PULSES
+        f = None if w is None else emitter.spectral_diffusion_sigma_uev * _gauss(w)
         for key, col in (("pulse", pulse), ("t", t), ("f", f)):
             if col is not None:
                 cols[key + "_a"].append(col[:k])

@@ -194,6 +194,16 @@ class TestSimulate:
         assert code == 0
         assert formats.read_ptg1(out).n_records == 0
 
+    def test_analysis_that_cannot_run_exits_2_before_writing_tags(self, run, tmp_path):
+        # a 200 ns integration window leaves no dead zone at 76 MHz: the
+        # scenario fails to load, so simulate writes nothing
+        cfg = write_config(tmp_path, analysis={"delta_t_ps": 200000})
+        out = tmp_path / "tags.ptg1"
+        code, _, err = run("simulate", "--config", cfg, "--out", out)
+        assert code == 2
+        assert err.startswith("error:") and "analysis.delta_t_ps" in err
+        assert not out.exists()
+
     def test_thread_count_does_not_change_file_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
         blobs = []
@@ -415,6 +425,9 @@ class TestFitCommands:
             solo["detector"], efficiency=1.0, dark_rate_cps=0.0, irf_fwhm_ps=200.0
         )
         solo["train"] = dict(solo["train"], rep_rate_mhz=5.0, n_pulses=150000)
+        # a window of 3 periods and the 6-side-peak comb at 200 ns, which the
+        # scenario must hold to load
+        solo["analysis"] = {"window_ps": 640000.0}
         cfg = tmp_path / "solo.json"
         cfg.write_text(json.dumps(solo))
         tags = tmp_path / "solo.ptg1"

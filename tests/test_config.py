@@ -271,6 +271,30 @@ class TestAnalysisDefaults:
         with pytest.raises(hs.ValidationError, match="analysis.n_side"):
             parse_dict(d)
 
+    @pytest.mark.parametrize(
+        "analysis,field",
+        [
+            ({"delta_t_ps": 200000.0}, "analysis.delta_t_ps"),  # no dead zone at 76 MHz
+            ({"delta_t_ps": 13130.0}, "analysis.delta_t_ps"),  # dead zones under a bin long
+            ({"window_ps": 15000.0, "n_side": 2}, "analysis.window_ps"),  # under 3 periods
+            ({"n_side": 14}, "analysis.n_side"),  # the comb overruns +-80 ns
+        ],
+    )
+    def test_comb_that_does_not_fit_the_period_rejected_at_load(self, analysis, field):
+        d = base_dict()
+        d["analysis"] = analysis
+        with pytest.raises(hs.ConfigurationError, match=field):
+            parse_dict(d)
+
+    def test_comb_rules_follow_the_train_period(self):
+        # 6 side peaks at 5 MHz need a window of 3 periods of 200 ns
+        d = base_dict()
+        d["train"]["rep_rate_mhz"] = 5.0
+        with pytest.raises(hs.ConfigurationError, match="analysis.window_ps"):
+            parse_dict(d)
+        d["analysis"] = {"window_ps": 640000.0}
+        assert parse_dict(d).analysis.window_ps == 640000.0
+
     def test_physics_validation_still_applies(self):
         d = base_dict()
         d["emitter1"]["t2_ps"] = 5000.0  # beyond the 2*T1 coherence bound

@@ -361,6 +361,19 @@ class TestXyCsv:
         with pytest.raises(hs.ValidationError):
             formats.read_xy_csv(p)
 
+    def test_whitespace_only_lines_skipped_as_empty_ones(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("1,2\n  \n\n\t\n3,4\n")
+        x, y = formats.read_xy_csv(p)
+        assert np.array_equal(x, [1.0, 3.0])
+        assert np.array_equal(y, [2.0, 4.0])
+
+    def test_only_whitespace_lines_have_no_data_rows(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("  \n\t\n\n")
+        with pytest.raises(hs.ValidationError, match="has no data rows"):
+            formats.read_xy_csv(p)
+
 
 class TestReport:
     def test_numpy_values_serialize_to_plain_json(self, tmp_path):

@@ -362,6 +362,10 @@ class TestDeadTimeMatchesSequentialRule:
     @example((np.array([0, 4, 6, 9, 12]), np.zeros(5, np.uint8), 5.0))
     @example((np.array([0, 1, 2]), np.array([0, 1, 0], np.uint8), 0.0))
     @example((np.array([10, 20, 30]), np.array([1, 0, 1], np.uint8), 100.0))
+    # dead times near or past the int64 clock, on tags near 2^62: t + dead must fit int64
+    @example((np.array([2**62 - 9, 2**62 - 5, 2**62 - 1]), np.array([0, 1, 0], np.uint8), 1e300))
+    @example((np.array([1, 2**61, 2**62 - 2, 2**62 - 1]), np.zeros(4, np.uint8), 5e18))
+    @example((np.array([0, 1, 2**62 - 1]), np.zeros(3, np.uint8), 4e18))
     def test_equals_reference(self, case):
         times, channels, dead_ps = case
         got = simulate._prune_dead_time(times, channels, dead_ps, [None, None])
