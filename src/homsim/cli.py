@@ -163,7 +163,7 @@ def _cmd_analyze_hom(args) -> None:
     except ConfigurationError:
         table_raw, table_corr = raw, corrected
     headline, table = (corrected, table_corr) if ana.background_correction else (raw, table_raw)
-    narrow = comb(ana.background_correction, delta_t_ps=max(100.0, 2.0 * ana.bin_width_ps))
+    narrow = comb(ana.background_correction, delta_t_ps=ana.postselect_delta_t_ps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         v_post = interfere.postselected_visibility(max(narrow.g2_zero, 0.0))

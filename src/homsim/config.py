@@ -40,6 +40,11 @@ class AnalysisSpec:
         if self.n_side < 2 or self.n_side % 2:
             raise ValidationError("analysis.n_side must be an even count >= 2")
 
+    @property
+    def postselect_delta_t_ps(self) -> float:
+        """The narrow window of analyze-hom's post-selected g2."""
+        return max(100.0, 2.0 * self.bin_width_ps)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -55,7 +60,8 @@ class ScenarioConfig:
         # analyze-hom's comb rules that the period sets: a scenario fails before simulate runs
         a, period = self.analysis, self.train.period_ps
         _dead_zone_edge(period, a.window_ps, a.bin_width_ps, a.delta_t_ps, "analysis.")
-        _comb_ks(period, a.window_ps, a.delta_t_ps, a.n_side, prefix="analysis.")
+        for delta_t_ps in (a.delta_t_ps, a.postselect_delta_t_ps):
+            _comb_ks(period, a.window_ps, delta_t_ps, a.n_side, prefix="analysis.")
 
 
 def _expect_mapping(obj, path):

@@ -349,15 +349,16 @@ def _route_chunk(
     # a pair that splits puts source 1's photon on channel 0 when both reflect
     # and on 1 when both transmit, source 2's on the other; a bunched pair
     # shares channel 0 or 1 with even odds
-    ch_a = u_assign >= np.where(cross, (r * r) / (r * r + t * t), 0.5)
+    ch_a = u_assign >= np.array((0.5, r * r / (r * r + t * t)))[cross.view(np.int8)]
     chan[sa] = ch_a
     chan[n1 + sb] = ch_a ^ cross
 
     out = np.flatnonzero(chan >= 0)
     ch = chan[out]
-    keep = rng.random(out.size) < np.where(ch, tin[3], tin[2])
+    keep = rng.random(out.size) < np.array(tin[2:])[ch]  # a table: faster than np.where
     if not keep.all():
-        ch, out = ch[keep], out[keep]
+        kept = np.flatnonzero(keep)  # one index for both, as in run_simulation
+        ch, out = ch[kept], out[kept]
     j = int(np.searchsorted(out, n1))
     tt = np.concatenate((t1[out[:j]], t2[out[j:] - n1]))
     sigma = det.irf_sigma_ps
@@ -532,8 +533,8 @@ def run_simulation(
         # times are below TAG_CLOCK_PS, so the keys fit int64 and sort by time, then channel
         t, c = keys >> 1, (keys & 1).astype(np.uint8)
         if det.dead_time_ps > 0:
-            keep = _prune_dead_time(t, c, det.dead_time_ps, last)
-            t, c = t[keep], c[keep]
+            kept = np.flatnonzero(_prune_dead_time(t, c, det.dead_time_ps, last))
+            t, c = t[kept], c[kept]  # one index for both: faster than a mixed boolean mask
         times.append(t)
         chans.append(c)
     stream = TimeTagStream(np.concatenate(times), np.concatenate(chans), seed=seed)

@@ -194,14 +194,27 @@ class TestSimulate:
         assert code == 0
         assert formats.read_ptg1(out).n_records == 0
 
-    def test_analysis_that_cannot_run_exits_2_before_writing_tags(self, run, tmp_path):
-        # a 200 ns integration window leaves no dead zone at 76 MHz: the
-        # scenario fails to load, so simulate writes nothing
-        cfg = write_config(tmp_path, analysis={"delta_t_ps": 200000})
+    @pytest.mark.parametrize(
+        "analysis,message",
+        [
+            # a 200 ns integration window leaves no dead zone at 76 MHz
+            ({"delta_t_ps": 200000}, "analysis.delta_t_ps"),
+            # the configured 50 ps comb fits +-39.5 ns (outermost edge 39498.7 ps),
+            # analyze-hom's 100 ps post-selection comb does not
+            ({"window_ps": 39500, "delta_t_ps": 50}, "edge 39523.7 ps) does not fit in the "
+             "+-39500 ps analysis.window_ps"),
+        ],
+        ids=["no-dead-zone", "postselection-comb"],
+    )
+    def test_analysis_that_cannot_run_exits_2_before_writing_tags(
+        self, run, tmp_path, analysis, message
+    ):
+        # the scenario fails to load, so simulate writes nothing
+        cfg = write_config(tmp_path, analysis=analysis)
         out = tmp_path / "tags.ptg1"
         code, _, err = run("simulate", "--config", cfg, "--out", out)
         assert code == 2
-        assert err.startswith("error:") and "analysis.delta_t_ps" in err
+        assert err.startswith("error:") and message in err
         assert not out.exists()
 
     def test_thread_count_does_not_change_file_bytes(self, tmp_path):

@@ -278,6 +278,8 @@ class TestAnalysisDefaults:
             ({"delta_t_ps": 13130.0}, "analysis.delta_t_ps"),  # dead zones under a bin long
             ({"window_ps": 15000.0, "n_side": 2}, "analysis.window_ps"),  # under 3 periods
             ({"n_side": 14}, "analysis.n_side"),  # the comb overruns +-80 ns
+            # analyze-hom's 100 ps post-selection comb overruns +-39.5 ns
+            ({"window_ps": 39500.0, "delta_t_ps": 50.0}, "analysis.window_ps"),
         ],
     )
     def test_comb_that_does_not_fit_the_period_rejected_at_load(self, analysis, field):

@@ -1,5 +1,6 @@
 """Correlator, peak integration, background floor, visibility estimators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,25 @@ class TestSliceSweep:
         expected = np.zeros(200, dtype=np.int64)
         expected[[0, 101]] = 1
         assert np.array_equal(hist.counts, expected)
+
+    @pytest.mark.parametrize(
+        "bin_width,window,base",
+        [(10.0, 80000.0, 0), (7.5, 75.0, 0), (1.25, 7.5, 0), (1.25, 7.5, 2**60)],
+    )
+    def test_window_edge_pairs_land_in_the_first_and_last_bins(self, bin_width, window, base):
+        # delays -floor(W) and ceil(W) - 1 are the extreme kept pairs: the
+        # truncating cast must put them in the first and last bins, and drop
+        # the delays one step outside
+        lo, hi = -math.floor(window), math.ceil(window) - 1
+        t0 = base + 10**6 + 4 * math.ceil(window) * np.arange(50)
+        offsets = np.array([lo - 1, lo, lo, hi, hi + 1])
+        t1 = np.sort((t0[:, None] + offsets).ravel())
+        hist = hs.cross_correlate(make_stream(t0, t1), bin_width, window)
+        assert hist.counts[0] == 100 and hist.counts[-1] == 50
+        assert hist.total_pairs == 150
+        # the reference is float64, exact only below 2^53 ps; delays are shift-free
+        shifted = make_stream(t0 - base, t1 - base)
+        assert np.array_equal(hist.counts, brute_force_histogram(shifted, bin_width, window))
 
 
 class TestBackground:
@@ -525,6 +545,19 @@ class TestTimetrace:
         trace = hs.timetrace(stream, train, bin_width_ps=1e17)
         assert trace.counts.sum() == 3
         assert np.array_equal(trace.counts, timetrace_reference(stream, train, 1e17))
+
+    @pytest.mark.parametrize("channel", [None, 0, 1])
+    def test_phase_zero_and_one_period_less_1_ps_land_in_the_end_bins(self, channel):
+        # 76 MHz is 19 periods in 250,000 ps: 250,000 m folds to phase 0 and
+        # 250,000 m - 1 to one period less 1 ps, 13156.89 ps, in the last bin
+        whole = 250_000 * np.arange(1, 41)
+        stream = make_stream(np.r_[whole[::2], whole[1::2] - 1], np.r_[whole[1::2], whole[::4] - 1])
+        train = hs.PulseTrainSpec(rep_rate_mhz=76.0, n_pulses=1)
+        trace = hs.timetrace(stream, train, bin_width_ps=20.0, channel=channel)
+        first, last = {None: (40, 30), 0: (20, 20), 1: (20, 10)}[channel]
+        assert trace.n_bins == 658 and (trace.counts[0], trace.counts[-1]) == (first, last)
+        assert trace.counts.sum() == first + last
+        assert np.array_equal(trace.counts, timetrace_reference(stream, train, 20.0, channel))
 
     @pytest.mark.parametrize("bin_width", [20.0, 7.5, 1.25])
     @pytest.mark.parametrize("channel", [None, 0, 1])
