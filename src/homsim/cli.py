@@ -3,6 +3,10 @@
 Subcommands cover simulation, correlation analysis, fitting, closed-form
 theory, and calibration estimators. Exit codes: 0 success, 2 invalid
 input/configuration, 3 numerical failure.
+
+Each command imports only the modules it runs. It calls simulate, correlate
+and fitting through the module, and load_scenario, read_ptg1 and write_ptg1
+through this module's names, so that a wrapper set on either is called.
 """
 
 from __future__ import annotations
@@ -14,20 +18,16 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import calib, correlate, fitting, interfere, model, simulate
-from .config import config_digest, load_scenario
-from .formats import (
-    read_ptg1,
-    read_timetrace_xy,
-    read_xy_csv,
-    write_histogram_csv,
-    write_peaks_csv,
-    write_ptg1,
-    write_report,
-    write_timetrace_csv,
-)
-from .model import ConfigurationError, EstimationError, ValidationError
-from .svgplot import histogram_svg, timetrace_svg
+from .config import load_scenario
+from .formats import read_ptg1, write_ptg1
+from .model import ConfigurationError, EstimationError, ModelDomainError, ValidationError
+
+
+def __getattr__(name):
+    # homsim.cli.simulate, .correlate and .fitting, for wrappers of their functions
+    if name in ("simulate", "correlate", "fitting"):
+        return __import__("%s.%s" % (__package__, name), fromlist=[name])
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,6 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> None:
+    from . import simulate
+    from .config import config_digest
+    from .formats import write_report
+
     cfg = load_scenario(args.config)
     stream, counters = simulate.run_simulation(
         cfg.emitter1, cfg.emitter2, cfg.circuit, cfg.detector, cfg.train, cfg.seed
@@ -140,6 +144,11 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_analyze_hom(args) -> None:
+    from . import correlate, interfere
+    from .config import config_digest
+    from .formats import write_histogram_csv, write_peaks_csv, write_report
+    from .svgplot import histogram_svg
+
     cfg = load_scenario(args.config)
     ana = cfg.analysis
     stream = read_ptg1(args.tags)
@@ -214,6 +223,10 @@ def _cmd_analyze_hom(args) -> None:
 
 
 def _cmd_correlate(args) -> None:
+    from . import correlate
+    from .formats import write_histogram_csv
+    from .svgplot import histogram_svg
+
     stream = read_ptg1(args.tags)
     hist = correlate.cross_correlate(stream, args.bin_width_ps, args.window_ps)
     write_histogram_csv(args.out, hist)
@@ -223,8 +236,13 @@ def _cmd_correlate(args) -> None:
 
 
 def _cmd_timetrace(args) -> None:
+    from . import correlate
+    from .formats import write_timetrace_csv
+    from .model import PulseTrainSpec
+    from .svgplot import timetrace_svg
+
     stream = read_ptg1(args.tags)
-    train = model.PulseTrainSpec(rep_rate_mhz=args.rep_rate_mhz, n_pulses=1)
+    train = PulseTrainSpec(rep_rate_mhz=args.rep_rate_mhz, n_pulses=1)
     trace = correlate.timetrace(
         stream, train, bin_width_ps=args.bin_width_ps, channel=args.channel
     )
@@ -235,6 +253,8 @@ def _cmd_timetrace(args) -> None:
 
 
 def _finish_fit(res, out_path) -> None:
+    from .formats import write_report
+
     if res.status == "singular":
         raise EstimationError("fit failed: singular normal equations")
     for name in res.param_names:
@@ -246,18 +266,28 @@ def _finish_fit(res, out_path) -> None:
 
 
 def _cmd_fit_decay(args) -> None:
+    from . import fitting
+    from .formats import read_timetrace_xy
+
     x, y = read_timetrace_xy(args.data)
     res = fitting.fit_biexp_irf(x, y, args.irf_fwhm_ps)
     _finish_fit(res, args.out)
 
 
 def _cmd_fit_g2cw(args) -> None:
+    from . import fitting
+    from .formats import read_xy_csv
+
     x, y = read_xy_csv(args.data)
     res = fitting.fit_g2cw(x, y, args.irf_fwhm_ps)
     _finish_fit(res, args.out)
 
 
 def _cmd_fit_lorentzian(args) -> None:
+    from . import fitting
+    from .formats import read_xy_csv
+    from .model import t2_from_linewidth
+
     x, y = read_xy_csv(args.data)
     res = fitting.fit_lorentzian(x, y)
     width = args.instrument_fwhm_uev
@@ -265,22 +295,19 @@ def _cmd_fit_lorentzian(args) -> None:
     _finish_fit(res, args.out)
     if intrinsic is not None:
         print("intrinsic_fwhm_uev = %.6g" % intrinsic)
-        print("t2_ps = %.6g" % model.t2_from_linewidth(intrinsic))
-
-
-def _theory_emitter(t1_ps: float, t2_ps: float) -> model.EmitterSpec:
-    return model.EmitterSpec(
-        energy_uev=0.0,
-        t1_fast_ps=t1_ps,
-        t1_slow_ps=t1_ps,  # unused: slow_fraction is 0
-        slow_fraction=0.0,
-        t2_ps=t2_ps,
-    )
+        print("t2_ps = %.6g" % t2_from_linewidth(intrinsic))
 
 
 def _cmd_theory(args) -> None:
-    e1 = _theory_emitter(args.t1_1, args.t2_1)
-    e2 = _theory_emitter(args.t1_2, args.t2_2)
+    from . import interfere
+    from .formats import write_report
+    from .model import EmitterSpec
+
+    # t1_slow_ps is unused, as slow_fraction is 0
+    e1, e2 = (
+        EmitterSpec(energy_uev=0.0, t1_fast_ps=t1, t1_slow_ps=t1, slow_fraction=0.0, t2_ps=t2)
+        for t1, t2 in ((args.t1_1, args.t2_1), (args.t1_2, args.t2_2))
+    )
     v = interfere.visibility_closed_form(
         e1, e2, delta_uev=args.detuning_uev, pol_overlap=args.pol_overlap
     )
@@ -302,6 +329,8 @@ def _cmd_theory(args) -> None:
 
 
 def _cmd_calib_splitter(args) -> None:
+    from . import calib
+
     m = calib.SplitterMeasurement.from_drive_pairs(
         args.bar1, args.cross1, args.bar2, args.cross2
     )
@@ -311,18 +340,27 @@ def _cmd_calib_splitter(args) -> None:
 
 
 def _cmd_calib_fringe(args) -> None:
+    from . import calib
+    from .formats import read_xy_csv
+
     _, y = read_xy_csv(args.data)
     v, err = calib.fringe_visibility(y, mode=args.mode)
     print("V = %.4f +- %.4f" % (v, err))
 
 
 def _cmd_calib_loss(args) -> None:
+    from . import calib
+    from .formats import read_xy_csv
+
     x, y = read_xy_csv(args.data)
     loss, err = calib.fit_loss(x, y)
     print("loss = %.3f +- %.3f dB/mm" % (loss, err))
 
 
 def _cmd_calib_dolp(args) -> None:
+    from . import calib
+    from .formats import read_xy_csv
+
     x, y = read_xy_csv(args.data)
     value, err = calib.dolp(x, y, raw=args.raw)
     print("DOLP = %.4f +- %.4f" % (value, err))
@@ -336,7 +374,7 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (EstimationError, fitting.ModelDomainError, np.linalg.LinAlgError) as exc:
+    except (EstimationError, ModelDomainError, np.linalg.LinAlgError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     return 0

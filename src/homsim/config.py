@@ -7,12 +7,10 @@ full path to the offending key.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
 
-from .correlate import _comb_ks, _dead_zone_edge, _grid_bins
 from .model import (
     CircuitSpec,
     ConfigurationError,
@@ -20,6 +18,9 @@ from .model import (
     EmitterSpec,
     PulseTrainSpec,
     ValidationError,
+    _comb_ks,
+    _dead_zone_edge,
+    _grid_bins,
 )
 
 
@@ -60,8 +61,9 @@ class ScenarioConfig:
         # analyze-hom's comb rules that the period sets: a scenario fails before simulate runs
         a, period = self.analysis, self.train.period_ps
         _dead_zone_edge(period, a.window_ps, a.bin_width_ps, a.delta_t_ps, "analysis.")
-        for delta_t_ps in (a.delta_t_ps, a.postselect_delta_t_ps):
-            _comb_ks(period, a.window_ps, delta_t_ps, a.n_side, prefix="analysis.")
+        _comb_ks(period, a.window_ps, a.delta_t_ps, a.n_side, prefix="analysis.")
+        width = "the post-selection width max(100 ps, 2 x analysis.bin_width_ps) ="
+        _comb_ks(period, a.window_ps, a.postselect_delta_t_ps, a.n_side, 0.0, "analysis.", width)
 
 
 def _expect_mapping(obj, path):
@@ -172,5 +174,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 def config_digest(cfg: ScenarioConfig) -> str:
     """Stable SHA-256 over the canonical JSON form."""
+    import hashlib  # here, so that commands that digest no scenario skip it
+
     canonical = json.dumps(scenario_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import _trf_least_squares
-from .model import ConfigurationError, EstimationError, ValidationError
+from .model import (
+    ConfigurationError,
+    EstimationError,
+    ValidationError,
+    _comb_ks,
+    _dead_zone_edge,
+    _grid_bins,
+)
 from .simulate import TimeTagStream, _map_chunks
 
 
@@ -80,24 +86,6 @@ def _zero_counts(n_bins):
         raise ConfigurationError("%g bins do not fit in memory (%s)" % (n_bins, exc)) from exc
 
 
-def _grid_bins(bin_width_ps, window_ps, prefix="", error=ConfigurationError) -> int:
-    """The bin count 2*window/bin_width of a correlation grid: an even count
-    >= 2 of bins >= 1 ps wide (tags are integer ps). prefix goes before the
-    field an error names; error is raised for a count that breaks the rule."""
-    if not 1.0 <= bin_width_ps < np.inf:
-        raise ValidationError("%sbin_width_ps must be finite and >= 1 ps" % prefix)
-    if not 0.0 < window_ps < np.inf:
-        raise ValidationError("%swindow_ps must be positive and finite" % prefix)
-    quotient = 2.0 * window_ps / bin_width_ps
-    if not (1.0 <= quotient < math.inf and abs(quotient / 2.0 - round(quotient / 2.0)) <= 5e-10):
-        raise error(
-            "correlation window %g ps over bin width %g ps gives %g bins, not an even "
-            "count >= 2: %sbin_width_ps must split twice the window evenly"
-            % (window_ps, bin_width_ps, quotient, prefix)
-        )
-    return 2 * round(quotient / 2.0)
-
-
 def _histogram_slice(stream, start, stop, below, above, hist):
     """Counts on hist's grid of the pairs whose channel-0 tag is one of tags
     [start, stop). For integer tags, t1 >= t0 - window exactly when
@@ -151,34 +139,6 @@ def _check_comb(hist, period_ps, delay_ps) -> None:
 
 def _peak_centers(period_ps, delay_ps, k_values):
     return delay_ps + period_ps * np.asarray(k_values, dtype=float)
-
-
-def _dead_zone_edge(period_ps, window_ps, bin_width_ps, delta_t_ps, prefix="") -> float:
-    """delta_t/2 plus a bin, how far past a peak centre estimate_background's
-    dead zones start. A window of 3 periods holds two whole gaps between peaks,
-    each with a bin centre in its dead zone when that is longer than a bin."""
-    if window_ps < 1.5 * period_ps:
-        raise ConfigurationError("%swindow_ps must cover >= 3 periods for the floor fit" % prefix)
-    edge = delta_t_ps / 2.0 + bin_width_ps
-    if not period_ps - 2.0 * edge > bin_width_ps:
-        msg = "no dead-zone bins between peaks; reduce %sdelta_t_ps or %sbin_width_ps"
-        raise ConfigurationError(msg % (prefix, prefix))
-    return edge
-
-
-def _comb_ks(period_ps, window_ps, delta_t_ps, n_side, delay_ps=0.0, prefix="") -> np.ndarray:
-    """integrate_peaks's peaks k = -n_side/2 .. n_side/2, whose windows of
-    delta_t_ps must keep apart and fit in the histogram window."""
-    if not 0 < delta_t_ps <= period_ps:
-        msg = "%sdelta_t_ps %g ps must be positive and at most the period %g ps (peaks overlap)"
-        raise ConfigurationError(msg % (prefix, delta_t_ps, period_ps))
-    if n_side < 2 or n_side % 2:
-        raise ConfigurationError("%sn_side must be a positive even count of side peaks" % prefix)
-    outermost = n_side // 2 * period_ps + abs(delay_ps) + delta_t_ps / 2.0
-    if outermost > window_ps:
-        msg = "%sn_side peak comb (outermost edge %g ps) does not fit in the +-%g ps %swindow_ps"
-        raise ConfigurationError(msg % (prefix, outermost, window_ps, prefix))
-    return np.arange(-(n_side // 2), n_side // 2 + 1)
 
 
 def estimate_background(
@@ -257,6 +217,8 @@ def estimate_background(
     start = min(
         np.linspace(lo, hi, 8), key=lambda g: float(np.sum((fit((g, g))[1] - y) ** 2))
     )
+    from .fitting import _trf_least_squares  # here, so that importing correlate loads no fits
+
     log_decay = _trf_least_squares(
         lambda p: fit(p)[1] - y, np.full(2, start), np.full(2, lo), np.full(2, hi)
     )[0]

@@ -14,14 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import FWHM_TO_SIGMA, ValidationError
+from .model import FWHM_TO_SIGMA, ModelDomainError, ValidationError
 
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
-
-
-class ModelDomainError(ValueError):
-    """The model produced non-finite output at a requested parameter point."""
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,15 @@ import json
 import os
 import struct
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .correlate import CorrelationHistogram, PeakAnalysis, Timetrace
 from .model import ValidationError
-from .simulate import TimeTagStream, _check_tags
+
+if TYPE_CHECKING:
+    from .correlate import CorrelationHistogram, PeakAnalysis, Timetrace
+    from .simulate import TimeTagStream
 
 PTG1_MAGIC = b"PTG1"
 PTG1_VERSION = 1
@@ -49,6 +52,8 @@ def read_ptg1(path) -> TimeTagStream:
     """Read a tag file one record slice at a time, rejecting malformed
     content with byte offsets. The records obey TimeTagStream's rules; an
     error names the first record that breaks one."""
+    from .simulate import TimeTagStream, _check_tags  # here, so that the CSV commands skip it
+
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:

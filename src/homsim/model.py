@@ -1,4 +1,5 @@
-"""Physical parameter containers, validation, and unit conversions.
+"""Physical parameter containers, validation, and unit conversions, and the
+correlation grid and peak-comb rules that scenarios and analyses share.
 
 All times are picoseconds, energies are micro-eV offsets from a common
 reference, rates are per second unless a suffix says otherwise.
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 # Reduced Planck constant in ueV*ps (CODATA hbar = 6.582119569e-16 eV s).
 HBAR_UEV_PS = 658.2119569
@@ -26,6 +29,10 @@ class ConfigurationError(ValueError):
 
 class EstimationError(RuntimeError):
     """An estimator could not produce a meaningful value from its input."""
+
+
+class ModelDomainError(ValueError):
+    """The model produced non-finite output at a requested parameter point."""
 
 
 def _require(cond: bool, message: str) -> None:
@@ -209,3 +216,50 @@ class PulseTrainSpec:
     @property
     def span_ps(self) -> float:
         return self.n_pulses * self.period_ps
+
+
+def _grid_bins(bin_width_ps, window_ps, prefix="", error=ConfigurationError) -> int:
+    """The bin count 2*window/bin_width of a correlation grid: an even count
+    >= 2 of bins >= 1 ps wide (tags are integer ps). prefix goes before the
+    field an error names; error is raised for a count that breaks the rule."""
+    if not 1.0 <= bin_width_ps < np.inf:
+        raise ValidationError("%sbin_width_ps must be finite and >= 1 ps" % prefix)
+    if not 0.0 < window_ps < np.inf:
+        raise ValidationError("%swindow_ps must be positive and finite" % prefix)
+    quotient = 2.0 * window_ps / bin_width_ps
+    if not (1.0 <= quotient < math.inf and abs(quotient / 2.0 - round(quotient / 2.0)) <= 5e-10):
+        raise error(
+            "correlation window %g ps over bin width %g ps gives %g bins, not an even "
+            "count >= 2: %sbin_width_ps must split twice the window evenly"
+            % (window_ps, bin_width_ps, quotient, prefix)
+        )
+    return 2 * round(quotient / 2.0)
+
+
+def _dead_zone_edge(period_ps, window_ps, bin_width_ps, delta_t_ps, prefix="") -> float:
+    """delta_t/2 plus a bin, how far past a peak centre estimate_background's
+    dead zones start. A window of 3 periods holds two whole gaps between peaks,
+    each with a bin centre in its dead zone when that is longer than a bin."""
+    if window_ps < 1.5 * period_ps:
+        raise ConfigurationError("%swindow_ps must cover >= 3 periods for the floor fit" % prefix)
+    edge = delta_t_ps / 2.0 + bin_width_ps
+    if not period_ps - 2.0 * edge > bin_width_ps:
+        msg = "no dead-zone bins between peaks; reduce %sdelta_t_ps or %sbin_width_ps"
+        raise ConfigurationError(msg % (prefix, prefix))
+    return edge
+
+
+def _comb_ks(period_ps, window_ps, delta_t_ps, n_side, delay_ps=0.0, prefix="", width=None):
+    """integrate_peaks's peaks k = -n_side/2 .. n_side/2, whose windows of
+    delta_t_ps must keep apart and fit in the histogram window. An error
+    names delta_t_ps as width, by default the field prefix + "delta_t_ps"."""
+    if not 0 < delta_t_ps <= period_ps:
+        msg = "%s %g ps must be positive and at most the period %g ps (peaks overlap)"
+        raise ConfigurationError(msg % (width or prefix + "delta_t_ps", delta_t_ps, period_ps))
+    if n_side < 2 or n_side % 2:
+        raise ConfigurationError("%sn_side must be a positive even count of side peaks" % prefix)
+    outermost = n_side // 2 * period_ps + abs(delay_ps) + delta_t_ps / 2.0
+    if outermost > window_ps:
+        msg = "%sn_side peak comb (outermost edge %g ps) does not fit in the +-%g ps %swindow_ps"
+        raise ConfigurationError(msg % (prefix, outermost, window_ps, prefix))
+    return np.arange(-(n_side // 2), n_side // 2 + 1)

@@ -54,7 +54,6 @@ from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
 
 from .interfere import coherence_kernel
 from .model import (
@@ -168,11 +167,13 @@ def _map_chunks(fn, items):
             yield ahead.popleft().result()
 
 
-def _block_rng(seed: int, stream: int, block: int) -> Generator:
+def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     # spawn_key pads the seed to four 32-bit words, so every key is its own
     # state; SeedSequence((seed, stream, block)) gives seed s + k*2^32's
-    # stream b, block 0 the state of seed s's stream k, block b
-    return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, block))))
+    # stream b, block 0 the state of seed s's stream k, block b. numpy >= 2
+    # imports np.random on this first use, so commands that draw none skip it
+    rnd = np.random
+    return rnd.Generator(rnd.SFC64(rnd.SeedSequence(seed, spawn_key=(stream, block))))
 
 
 def _gauss(u: np.ndarray) -> np.ndarray:

@@ -297,9 +297,12 @@ def test_criterion_12_calibration_synthetics():
     assert abs(rho - 0.95) <= 0.01
 
 
-def test_criterion_13_thread_count_determinism(tmp_path):
+def _simulate_at_1_2_8_threads(tmp_path, scenario, before_run=""):
+    """The tag files `homsim simulate` writes for scenario at HOMSIM_THREADS
+    1, 2 and 8, each in a fresh interpreter that runs before_run between
+    importing homsim.cli and running the command."""
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps(scenario_dict(seed=ACCEPTANCE_SEED)))
+    cfg.write_text(json.dumps(scenario))
     blobs = {}
     for workers in ("1", "2", "8"):
         out = tmp_path / ("tags_%s.ptg1" % workers)
@@ -308,7 +311,8 @@ def test_criterion_13_thread_count_determinism(tmp_path):
             [
                 sys.executable,
                 "-c",
-                "import sys; from homsim.cli import main; sys.exit(main(sys.argv[1:]))",
+                "import sys; from homsim.cli import main; %ssys.exit(main(sys.argv[1:]))"
+                % before_run,
                 "simulate",
                 "--config",
                 str(cfg),
@@ -321,7 +325,29 @@ def test_criterion_13_thread_count_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         blobs[workers] = out.read_bytes()
+    return blobs
+
+
+def test_criterion_13_thread_count_determinism(tmp_path):
+    blobs = _simulate_at_1_2_8_threads(tmp_path, scenario_dict(seed=ACCEPTANCE_SEED))
     sizes = {k: len(v) for k, v in blobs.items()}
     print("criterion 13: file sizes at 1/2/8 workers = %s" % sizes)
+    assert blobs["1"] == blobs["2"] == blobs["8"]
+    assert len(blobs["1"]) > 22
+
+
+def test_criterion_13_first_random_draws_in_worker_threads(tmp_path):
+    # blinking sources draw their telegraph words in the pool's threads before
+    # anything else draws, so on numpy >= 2, which imports numpy.random on
+    # first use, several threads import it at once
+    cfg = scenario_dict(seed=ACCEPTANCE_SEED)
+    for key, blink_on in (("emitter1", 2.0e6), ("emitter2", 1.5e6)):
+        cfg[key].update(blink_on_rate_per_s=blink_on, blink_off_rate_per_s=1.0e6)
+    cfg["train"]["n_pulses"] = 300_000  # five pulse blocks
+    unloaded = (
+        "import numpy; "
+        "assert int(numpy.__version__.split('.')[0]) < 2 or 'numpy.random' not in sys.modules; "
+    )
+    blobs = _simulate_at_1_2_8_threads(tmp_path, cfg, unloaded)
     assert blobs["1"] == blobs["2"] == blobs["8"]
     assert len(blobs["1"]) > 22

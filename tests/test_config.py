@@ -288,6 +288,19 @@ class TestAnalysisDefaults:
         with pytest.raises(hs.ConfigurationError, match=field):
             parse_dict(d)
 
+    def test_postselection_width_error_names_what_sets_it(self):
+        # a 50 ps period fits the configured 10 ps comb but not analyze-hom's
+        # 100 ps post-selection width, which no field sets on its own
+        d = base_dict()
+        d["train"]["rep_rate_mhz"] = 20000.0
+        d["analysis"] = {"bin_width_ps": 1, "window_ps": 160, "delta_t_ps": 10}
+        with pytest.raises(hs.ConfigurationError) as err:
+            parse_dict(d)
+        assert str(err.value) == (
+            "the post-selection width max(100 ps, 2 x analysis.bin_width_ps) = 100 ps must be "
+            "positive and at most the period 50 ps (peaks overlap)"
+        )
+
     def test_comb_rules_follow_the_train_period(self):
         # 6 side peaks at 5 MHz need a window of 3 periods of 200 ns
         d = base_dict()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homsim as hs
-from homsim import correlate, formats
+from homsim import correlate, fitting, formats
 from helpers import (
     brute_force_histogram,
     emitter_long_t2,
@@ -317,7 +317,7 @@ class TestBackgroundSolve:
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(correlate, "_trf_least_squares", recorded)
+            m.setattr(fitting, "_trf_least_squares", recorded)
             floor = hs.estimate_background(hist, period, **kw)
         assert len(costs) == 1
         return floor, costs[0]
@@ -345,7 +345,7 @@ class TestBackgroundSolve:
 
         hist, period, kw = self._case(case)
         floor, cost = self._floor_and_cost(
-            monkeypatch, correlate._trf_least_squares, hist, period, **kw
+            monkeypatch, fitting._trf_least_squares, hist, period, **kw
         )
         floor_trf, cost_trf = self._floor_and_cost(monkeypatch, trf, hist, period, **kw)
         assert floor_trf > 0.0
