@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--comb-offset-ps", type=float, default=0.0)
     p.set_defaults(func=_cmd_analyze_hom)
 
     p = sub.add_parser("correlate", help="cross-correlation histogram to CSV")
@@ -154,15 +153,12 @@ def _cmd_analyze_hom(args) -> None:
     stream = read_ptg1(args.tags)
     period = cfg.train.period_ps
     hist = correlate.cross_correlate(stream, ana.bin_width_ps, ana.window_ps)
-    floor = correlate.estimate_background(
-        hist, period, delta_t_ps=ana.delta_t_ps, delay_ps=args.comb_offset_ps
-    )
+    floor = correlate.estimate_background(hist, period, delta_t_ps=ana.delta_t_ps)
 
     def comb(corrected, n_side=ana.n_side, delta_t_ps=ana.delta_t_ps):
         # through the module, so that a wrapper of integrate_peaks sees each call
         return correlate.integrate_peaks(
-            hist, period, delta_t_ps, n_side, floor=floor, corrected=corrected,
-            delay_ps=args.comb_offset_ps,
+            hist, period, delta_t_ps, n_side, floor=floor, corrected=corrected
         )
 
     raw, corrected = comb(False), comb(True)
@@ -184,7 +180,7 @@ def _cmd_analyze_hom(args) -> None:
     write_histogram_csv(hist_csv, hist)
     svg_path = args.out_prefix + "_hist.svg"
     half = headline.delta_t_ps / 2.0
-    centers = correlate._peak_centers(period, args.comb_offset_ps, headline.k_values).tolist()
+    centers = (period * headline.k_values).tolist()
     histogram_svg(svg_path, hist, peak_spans=[(c - half, c + half) for c in centers])
     peaks_csv = args.out_prefix + "_peaks.csv"
     write_peaks_csv(peaks_csv, table_raw, table_corr)
@@ -207,7 +203,7 @@ def _cmd_analyze_hom(args) -> None:
             "area": table.areas,
             "error": table.area_errors,
         },
-        "analysis": {**asdict(ana), "comb_offset_ps": args.comb_offset_ps},
+        "analysis": asdict(ana),
         "seed": cfg.seed,
         "config_digest": config_digest(cfg),
         "files": {"histogram": hist_csv, "peaks": peaks_csv, "plot": svg_path},

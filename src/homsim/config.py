@@ -63,7 +63,7 @@ class ScenarioConfig:
         _dead_zone_edge(period, a.window_ps, a.bin_width_ps, a.delta_t_ps, "analysis.")
         _comb_ks(period, a.window_ps, a.delta_t_ps, a.n_side, prefix="analysis.")
         width = "the post-selection width max(100 ps, 2 x analysis.bin_width_ps) ="
-        _comb_ks(period, a.window_ps, a.postselect_delta_t_ps, a.n_side, 0.0, "analysis.", width)
+        _comb_ks(period, a.window_ps, a.postselect_delta_t_ps, a.n_side, "analysis.", width)
 
 
 def _expect_mapping(obj, path):

@@ -130,22 +130,13 @@ def cross_correlate(
     return hist
 
 
-def _check_comb(hist, period_ps, delay_ps) -> None:
+def _check_period(period_ps) -> None:
     if not 0 < period_ps < np.inf:
         raise ValidationError("period_ps must be positive and finite")
-    if not abs(delay_ps) <= hist.window_ps:
-        raise ValidationError("delay_ps must be finite and within +-%g ps" % hist.window_ps)
-
-
-def _peak_centers(period_ps, delay_ps, k_values):
-    return delay_ps + period_ps * np.asarray(k_values, dtype=float)
 
 
 def estimate_background(
-    hist: CorrelationHistogram,
-    period_ps: float,
-    delta_t_ps: float = 3000.0,
-    delay_ps: float = 0.0,
+    hist: CorrelationHistogram, period_ps: float, delta_t_ps: float = 3000.0
 ) -> float:
     """The flat floor under the peak comb, in counts/bin.
 
@@ -153,9 +144,9 @@ def estimate_background(
     on the scale of a dead zone.
 
     Dead-zone bins are those farther than delta_t/2 plus one bin width from
-    every peak center c_k = k*period + delay. They still hold the
-    exponential tails of the neighbouring peaks, so the dead zone between
-    c_k and c_(k+1) is fitted as
+    every peak center c_k = k*period. They still hold the exponential tails
+    of the neighbouring peaks, so the dead zone between c_k and c_(k+1) is
+    fitted as
 
         floor + a_k exp(-(tau - c_k)/T_R) + b_k exp(-(c_(k+1) - tau)/T_L)
 
@@ -171,11 +162,11 @@ def estimate_background(
     spaced over the box, by fitting._trf_least_squares, the solver of every
     fit, to its tolerances of 1e-8.
     """
-    _check_comb(hist, period_ps, delay_ps)
+    _check_period(period_ps)
     edge = _dead_zone_edge(period_ps, hist.window_ps, hist.bin_width_ps, delta_t_ps)
     centers = hist.bin_centers_ps
-    k_max = int(np.ceil((hist.window_ps + abs(delay_ps)) / period_ps)) + 1
-    peak_pos = _peak_centers(period_ps, delay_ps, np.arange(-k_max, k_max + 1))
+    k_max = int(np.ceil(hist.window_ps / period_ps)) + 1
+    peak_pos = period_ps * np.arange(-k_max, k_max + 1)
     # each bin lies between peak_pos[right - 1] and peak_pos[right]
     right = np.searchsorted(peak_pos, centers)
     past = centers - peak_pos[right - 1]
@@ -229,7 +220,7 @@ def estimate_background(
 class PeakAnalysis:
     """Integrated pulsed-peak areas and the central-to-side-peak ratio.
 
-    areas[i] belongs to the comb peak at k_values[i]*period + delay. The
+    areas[i] belongs to the comb peak at k_values[i]*period. The
     ratio g2_zero = central area / mean(side areas); its uncertainty
     combines the Poisson error of the central area with the standard
     deviation of the side-peak areas.
@@ -237,7 +228,6 @@ class PeakAnalysis:
 
     period_ps: float
     delta_t_ps: float
-    delay_ps: float
     k_values: np.ndarray
     areas: np.ndarray
     area_errors: np.ndarray
@@ -254,20 +244,21 @@ def integrate_peaks(
     n_side: int = 6,
     floor: float = 0.0,
     corrected: bool = False,
-    delay_ps: float = 0.0,
 ) -> PeakAnalysis:
     """Integrate the pulse comb: central peak plus n_side side peaks total.
 
     area_k sums counts in bins whose centers lie within delta_t/2 of
-    k*period + delay; when corrected, floor*bins_in_window is subtracted
-    from each area. Poisson errors are taken on the raw (uncorrected)
+    k*period; when corrected, floor*bins_in_window is subtracted from
+    each area. Poisson errors are taken on the raw (uncorrected)
     areas; the ratio error propagates the side-area standard deviation of
     the mean together with the central Poisson error.
     """
-    _check_comb(hist, period_ps, delay_ps)
-    ks = _comb_ks(period_ps, hist.window_ps, delta_t_ps, n_side, delay_ps)
+    _check_period(period_ps)
+    if not math.isfinite(floor):
+        raise ValidationError("floor %g counts/bin must be finite" % floor)
+    ks = _comb_ks(period_ps, hist.window_ps, delta_t_ps, n_side)
     centers = hist.bin_centers_ps
-    peak_pos = _peak_centers(period_ps, delay_ps, ks)
+    peak_pos = period_ps * ks
     raw = np.empty(ks.size, dtype=float)
     nbins = np.empty(ks.size, dtype=np.int64)
     for i, c in enumerate(peak_pos):
@@ -288,7 +279,6 @@ def integrate_peaks(
     return PeakAnalysis(
         period_ps=float(period_ps),
         delta_t_ps=float(delta_t_ps),
-        delay_ps=float(delay_ps),
         k_values=ks,
         areas=areas,
         area_errors=errors,
@@ -347,6 +337,8 @@ def timetrace(
     """Fold tag times modulo the pulse period into bins of >= 1 ps (tags are integer ps)."""
     if not 1.0 <= bin_width_ps < np.inf:
         raise ValidationError("bin_width_ps must be finite and >= 1 ps")
+    if channel not in (None, 0, 1):
+        raise ValidationError("channel must be None, 0 or 1")
     period = train.period_ps
     n_bins = int(np.ceil(period / bin_width_ps))
     # period = whole / den exactly, so whole ps is a whole number of periods, and

@@ -249,7 +249,7 @@ def _dead_zone_edge(period_ps, window_ps, bin_width_ps, delta_t_ps, prefix="") -
     return edge
 
 
-def _comb_ks(period_ps, window_ps, delta_t_ps, n_side, delay_ps=0.0, prefix="", width=None):
+def _comb_ks(period_ps, window_ps, delta_t_ps, n_side, prefix="", width=None):
     """integrate_peaks's peaks k = -n_side/2 .. n_side/2, whose windows of
     delta_t_ps must keep apart and fit in the histogram window. An error
     names delta_t_ps as width, by default the field prefix + "delta_t_ps"."""
@@ -258,7 +258,7 @@ def _comb_ks(period_ps, window_ps, delta_t_ps, n_side, delay_ps=0.0, prefix="", 
         raise ConfigurationError(msg % (width or prefix + "delta_t_ps", delta_t_ps, period_ps))
     if n_side < 2 or n_side % 2:
         raise ConfigurationError("%sn_side must be a positive even count of side peaks" % prefix)
-    outermost = n_side // 2 * period_ps + abs(delay_ps) + delta_t_ps / 2.0
+    outermost = n_side // 2 * period_ps + delta_t_ps / 2.0
     if outermost > window_ps:
         msg = "%sn_side peak comb (outermost edge %g ps) does not fit in the +-%g ps %swindow_ps"
         raise ConfigurationError(msg % (prefix, outermost, window_ps, prefix))
