@@ -131,14 +131,11 @@ def _malus_model(theta_rad, p):
     return i0 * (1.0 + rho * np.cos(2.0 * (theta_rad - theta0)))
 
 
-def dolp(
-    angles_deg: np.ndarray, intensity: np.ndarray, raw: bool = False
-) -> tuple[float, float]:
+def dolp(angles_deg: np.ndarray, intensity: np.ndarray) -> tuple[float, float]:
     """Degree of linear polarization from an analyzer-angle sweep.
 
     Fits I(theta) = I0*(1 + rho*cos 2(theta - theta0)); DOLP is the fitted
-    rho = (I_max - I_min)/(I_max + I_min) of the curve. raw=True skips the
-    fit and uses the sample extrema. Returns (dolp, error).
+    rho = (I_max - I_min)/(I_max + I_min) of the curve. Returns (dolp, error).
     """
     th = _finite("angles", angles_deg)
     y = _finite("intensities", intensity)
@@ -148,11 +145,6 @@ def dolp(
         raise ValidationError("need >= 8 analyzer angles")
     if np.ptp(th) < 180.0 - 1e-9:
         raise ValidationError("analyzer sweep must span >= 180 degrees")
-    if raw:
-        i_max, i_min = float(np.max(y)), float(np.min(y))
-        if i_max + i_min == 0:
-            raise ValidationError("intensities sum to zero")
-        return (i_max - i_min) / (i_max + i_min), 0.0
     th_rad = np.deg2rad(th)
     i0_0 = float(np.mean(y))
     if i0_0 <= 0:

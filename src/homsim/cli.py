@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width-ps", type=float, default=10.0)
     p.add_argument("--window-ps", type=float, default=80000.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("timetrace", help="fold tags by the pulse period")
@@ -63,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width-ps", type=float, default=20.0)
     p.add_argument("--channel", type=int, choices=(0, 1), default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_timetrace)
 
     p = sub.add_parser("fit-decay", help="bi-exponential decay fit with IRF")
@@ -112,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calib-dolp", help="degree of linear polarization")
     p.add_argument("--data", required=True)
-    p.add_argument("--raw", action="store_true", help="use raw extrema, no fit")
     p.set_defaults(func=_cmd_calib_dolp)
 
     return parser
@@ -221,13 +218,10 @@ def _cmd_analyze_hom(args) -> None:
 def _cmd_correlate(args) -> None:
     from . import correlate
     from .formats import write_histogram_csv
-    from .svgplot import histogram_svg
 
     stream = read_ptg1(args.tags)
     hist = correlate.cross_correlate(stream, args.bin_width_ps, args.window_ps)
     write_histogram_csv(args.out, hist)
-    if args.svg:
-        histogram_svg(args.svg, hist)
     print("total_pairs = %d" % hist.total_pairs)
 
 
@@ -235,7 +229,6 @@ def _cmd_timetrace(args) -> None:
     from . import correlate
     from .formats import write_timetrace_csv
     from .model import PulseTrainSpec
-    from .svgplot import timetrace_svg
 
     stream = read_ptg1(args.tags)
     train = PulseTrainSpec(rep_rate_mhz=args.rep_rate_mhz, n_pulses=1)
@@ -243,8 +236,6 @@ def _cmd_timetrace(args) -> None:
         stream, train, bin_width_ps=args.bin_width_ps, channel=args.channel
     )
     write_timetrace_csv(args.out, trace)
-    if args.svg:
-        timetrace_svg(args.svg, trace)
     print("total_counts = %d" % int(trace.counts.sum()))
 
 
@@ -358,7 +349,7 @@ def _cmd_calib_dolp(args) -> None:
     from .formats import read_xy_csv
 
     x, y = read_xy_csv(args.data)
-    value, err = calib.dolp(x, y, raw=args.raw)
+    value, err = calib.dolp(x, y)
     print("DOLP = %.4f +- %.4f" % (value, err))
 
 

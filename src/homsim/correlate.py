@@ -38,12 +38,11 @@ class CorrelationHistogram:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        n, width = self.counts.size, self.bin_width_ps
-        if n < 2 or n % 2 or not (width > 0 and abs(n - 2.0 * self.window_ps / width) <= 1e-9):
+        n = _grid_bins(self.bin_width_ps, self.window_ps)
+        if self.counts.size != n:
             raise ConfigurationError(
-                "histogram needs a bin width > 0 and an even bin count >= 2 of "
-                "2*window/bin_width; got %d bins for window %g ps, bin %g ps"
-                % (n, self.window_ps, self.bin_width_ps)
+                "histogram has %d bins, not the %d of window %g ps over bin %g ps"
+                % (self.counts.size, n, self.window_ps, self.bin_width_ps)
             )
         if np.any(self.counts < 0):
             raise ValidationError("histogram counts must be >= 0")

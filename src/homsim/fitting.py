@@ -546,6 +546,10 @@ def fit_lorentzian(energy_uev: np.ndarray, y: np.ndarray) -> FitResult:
     e = np.asarray(energy_uev, dtype=float)
     yv = np.asarray(y, dtype=float)
     _require_points(yv, 4)
+    if e.shape != yv.shape:
+        raise ValidationError("energy and count arrays must match")
+    order = np.argsort(e, kind="stable")  # energies in either order
+    e, yv = e[order], yv[order]
     base0 = float(np.min(yv))
     i_max = int(np.argmax(yv))
     height = float(yv[i_max] - base0)

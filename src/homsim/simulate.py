@@ -407,9 +407,7 @@ def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float, la
     tag before these, or None, and is updated in place, so that a sorted
     stream can be pruned segment by segment.
     """
-    keep = np.full(times.size, dead_ps <= 0)
-    if dead_ps <= 0:
-        return keep
+    keep = np.zeros(times.size, bool)
     dead = math.ceil(dead_ps)
     for ch in (0, 1):
         idx = np.flatnonzero(channels == ch)
@@ -426,7 +424,7 @@ def _prune_dead_time(times: np.ndarray, channels: np.ndarray, dead_ps: float, la
 
 
 def _dead_time_chain(t: np.ndarray, dead: int) -> np.ndarray:
-    """Kept mask of one channel's sorted tags under dead time dead >= 1.
+    """Kept mask of one channel's sorted tags under dead time dead >= 0.
 
     A tag at least dead after the one before it heads a cluster and is kept
     whatever came before. Only clusters of two or more tags are chained: among

@@ -120,7 +120,7 @@ def line_chart_svg(
         fh.write("\n".join(parts) + "\n")
 
 
-def histogram_svg(path, hist, peak_spans=None):
+def histogram_svg(path, hist, peak_spans):
     """Chart a correlation histogram with its peak windows shaded."""
     line_chart_svg(
         path,
@@ -132,13 +132,3 @@ def histogram_svg(path, hist, peak_spans=None):
         shaded_spans=peak_spans,
     )
 
-
-def timetrace_svg(path, trace):
-    line_chart_svg(
-        path,
-        trace.bin_centers_ps,
-        trace.counts,
-        x_label="time in pulse period (ps)",
-        y_label="counts per bin",
-        title="Time-resolved trace",
-    )

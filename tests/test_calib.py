@@ -202,13 +202,6 @@ class TestDolp:
         rho, _ = hs.dolp(ang, y)
         assert abs(rho) <= 0.02
 
-    def test_raw_mode_uses_extrema(self):
-        ang, y = _malus_sweep(0.6)
-        rho, err = hs.dolp(ang, y, raw=True)
-        i_max, i_min = y.max(), y.min()
-        assert rho == pytest.approx((i_max - i_min) / (i_max + i_min), rel=1e-12)
-        assert err == 0.0
-
     def test_too_few_angles_rejected(self):
         ang, y = _malus_sweep(0.5, n=7)
         ang = np.linspace(0.0, 200.0, 7)

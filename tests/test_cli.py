@@ -356,19 +356,16 @@ class TestAnalyzeHom:
 
 
 class TestCorrelateCommand:
-    def test_histogram_csv_and_svg(self, run, sim_artifacts):
+    def test_histogram_csv(self, run, sim_artifacts):
         out = sim_artifacts["dir"] / "hist.csv"
-        svg = sim_artifacts["dir"] / "hist.svg"
         code, stdout, _ = run(
             "correlate", "--tags", sim_artifacts["tags"],
-            "--bin-width-ps", 50, "--window-ps", 40000,
-            "--out", out, "--svg", svg,
+            "--bin-width-ps", 50, "--window-ps", 40000, "--out", out,
         )
         assert code == 0
         counts = np.loadtxt(out, delimiter=",", usecols=1, dtype=np.int64)
         printed = int(stdout.split("total_pairs =")[1].split()[0])
         assert printed == counts.sum()
-        assert "<svg" in svg.read_text()
 
     def test_bad_geometry_exits_2(self, run, sim_artifacts):
         code, _, err = run(
@@ -652,9 +649,8 @@ _NON_FINITE_CASES = {
                                    (_LOSS_X, _with(np.exp(-_LOSS_X / 4), 2, bad)), None)
         for bad in (np.nan, np.inf)
     },
-    "calib-dolp-raw-nan": (["calib-dolp", "--data", "{data}", "--raw"],
-                           (_ANGLES, _with(2 + np.cos(np.radians(2 * _ANGLES)), 3, np.nan)),
-                           None),
+    "calib-dolp-nan": (["calib-dolp", "--data", "{data}"],
+                       (_ANGLES, _with(2 + np.cos(np.radians(2 * _ANGLES)), 3, np.nan)), None),
     # files without a data row
     "calib-fringe-empty-file": (["calib-fringe", "--data", "{data}"], "", None),
     "calib-loss-blank-file": (["calib-loss", "--data", "{data}"], "\n\n\n", None),
@@ -750,3 +746,28 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,flag,args",
+        [
+            ("correlate", "--svg", ["--svg", "{tmp}/x.svg", "--out", "{tmp}/c.csv"]),
+            ("timetrace", "--svg", ["--rep-rate-mhz", "76", "--svg", "{tmp}/x.svg",
+                                    "--out", "{tmp}/t.csv"]),
+            ("calib-dolp", "--raw", ["--raw"]),
+        ],
+    )
+    def test_removed_option_is_usage_error_and_not_in_help(
+        self, capsys, sim_artifacts, tmp_path, command, flag, args
+    ):
+        data = write_xy(tmp_path, _ANGLES, 2 + np.cos(np.radians(2 * _ANGLES)))
+        source = ["--data", data] if command == "calib-dolp" else ["--tags", sim_artifacts["tags"]]
+        argv = [command, *source, *(a.format(tmp=tmp_path) for a in args)]
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert flag not in capsys.readouterr().out

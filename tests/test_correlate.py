@@ -136,12 +136,19 @@ class TestCrossCorrelate:
         with pytest.raises(hs.ValidationError):
             hs.cross_correlate(stream, 0.5, 500.0)  # sub-ps bin
 
+    # (0.5, 10.0): sub-ps bins, which cross_correlate refuses, with their 40 bins
     @pytest.mark.parametrize(
-        "bin_width,window", [(0.0, 10.0), (-10.0, -20.0), (np.nan, 20.0), (10.0, np.nan)]
+        "bin_width,window",
+        [(0.0, 10.0), (-10.0, -20.0), (np.nan, 20.0), (10.0, np.nan), (0.5, 10.0)],
     )
     def test_histogram_needs_a_positive_bin_width_and_a_finite_window(self, bin_width, window):
-        with pytest.raises(hs.ConfigurationError, match="even bin count"):
-            hs.CorrelationHistogram(bin_width, window, np.zeros(4, dtype=np.int64))
+        with pytest.raises(hs.ValidationError, match="bin_width_ps|window_ps"):
+            hs.CorrelationHistogram(bin_width, window, np.zeros(40, dtype=np.int64))
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 6])
+    def test_histogram_bin_count_must_match_its_grid(self, n_bins):
+        with pytest.raises(hs.ConfigurationError, match="not the 4"):
+            hs.CorrelationHistogram(10.0, 20.0, np.zeros(n_bins, dtype=np.int64))
 
     def test_empty_channel_gives_empty_histogram(self):
         stream = make_stream([], [100, 200])

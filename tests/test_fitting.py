@@ -401,6 +401,19 @@ class TestLorentzian:
         with pytest.raises(hs.ValidationError):
             fit_lorentzian(np.arange(4.0), np.ones(4))
 
+    def test_descending_energy_axis_gives_the_ascending_fit(self):
+        # a wavelength scan converted to energy runs from high to low energy
+        rng = np.random.default_rng(11)
+        e = np.linspace(-50.0, 50.0, 201)
+        y = self._profile(e, 100.0, 3.0, 16.5, base=2.0) + rng.normal(0.0, 0.05, e.size)
+        up, down = fit_lorentzian(e, y), fit_lorentzian(e[::-1], y[::-1])
+        for name in ("area", "center", "fwhm", "baseline"):
+            assert down[name] == pytest.approx(up[name], rel=1e-9)
+
+    def test_energy_and_count_sizes_must_match(self):
+        with pytest.raises(hs.ValidationError, match="must match"):
+            fit_lorentzian(np.arange(50.0), np.ones(60))
+
 
 class TestDeconvolve:
     @pytest.mark.parametrize(

@@ -180,7 +180,8 @@ print(json.dumps([n for n in homsim.__all__ if n not in globals()]))
 _NOT_LOADED = {
     "theory": {"homsim.simulate", "homsim.correlate", "homsim.fitting", "homsim.calib"},
     "fit-decay": {"homsim.simulate", "homsim.correlate"},
-    "timetrace": {"homsim.fitting"},
+    "correlate": {"homsim.svgplot"},
+    "timetrace": {"homsim.fitting", "homsim.svgplot"},
     "simulate": {"homsim.fitting"},
 }
 _NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
