@@ -93,7 +93,7 @@ def nlls_solve(
     y = np.asarray(y, dtype=float)
     p = np.array(p0, dtype=float)
     n_par = p.size
-    _require_points(y, n_par)
+    _require_points(x, y, n_par)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
         raise ValidationError("data and initial parameters must be finite")
     if sigma is None:
@@ -375,8 +375,10 @@ def _to_bound(x, s, lo, hi):
     return t, (steps == t) * np.sign(s)
 
 
-def _require_points(y: np.ndarray, n_par: int) -> None:
-    """The solver's size rule, also checked before a fit's initial guess."""
+def _require_points(x: np.ndarray, y: np.ndarray, n_par: int) -> None:
+    """The solver's size rules, also checked before a fit's initial guess."""
+    if x.shape != y.shape:
+        raise ValidationError("x and y arrays must match: shapes %s and %s" % (x.shape, y.shape))
     if y.size <= n_par:
         raise ValidationError("need more data points than parameters")
 
@@ -463,7 +465,7 @@ def fit_biexp_irf(
     y = np.asarray(counts, dtype=float)
     sigma_irf = irf_fwhm_ps / FWHM_TO_SIGMA
     names = ("amp", "t0", "tau_fast", "tau_slow", "frac_slow", "baseline")
-    _require_points(y, len(names))
+    _require_points(t, y, len(names))
     if init is None:
         base0 = float(max(np.min(y), 0.0))
         i_max = int(np.argmax(y))
@@ -523,6 +525,7 @@ def fit_g2cw(tau_ps: np.ndarray, g2: np.ndarray, irf_fwhm_ps: float) -> FitResul
     tau = np.asarray(tau_ps, dtype=float)
     y = np.asarray(g2, dtype=float)
     sigma_irf = irf_fwhm_ps / FWHM_TO_SIGMA
+    _require_points(tau, y, 2)
     g0_0 = float(np.clip(np.min(y), 0.0, 1.0))
     span = float(tau[-1] - tau[0])
     return nlls_solve(
@@ -545,9 +548,7 @@ def fit_lorentzian(energy_uev: np.ndarray, y: np.ndarray) -> FitResult:
     """Unweighted fit of a Lorentzian line: baseline + (2A/pi) * w / (4(E-E0)^2 + w^2)."""
     e = np.asarray(energy_uev, dtype=float)
     yv = np.asarray(y, dtype=float)
-    _require_points(yv, 4)
-    if e.shape != yv.shape:
-        raise ValidationError("energy and count arrays must match")
+    _require_points(e, yv, 4)
     order = np.argsort(e, kind="stable")  # energies in either order
     e, yv = e[order], yv[order]
     base0 = float(np.min(yv))

@@ -13,15 +13,17 @@ CircuitSpec.overlap with the pair's spectral-diffusion offsets as extra
 detuning; every other photon routes classically.
 
 The rest is a pipeline over the pulse blocks in time order, which builds no
-array the size of the run but the returned TimeTagStream. Each worker sorts
-its block's tag keys (2 * time + channel). No tag of block b or later is
-earlier than (b * _CHUNK_PULSES * period - 9 sigma_IRF), since a photon
-starts no earlier than its pulse (source_delay_ps and decay draws are >= 0)
-and the IRF draw moves it by less than 8.6 sigma (_gauss); float rounding and
-rint take less than an ulp of that start plus 0.5 ps. So once block b - 1 is
-in, the keys below that watermark are merged with the dark counts below it
-and released; the rest wait. Dead time prunes each released segment, carrying
-each channel's last kept tag, and the kept segments are concatenated.
+array the size of the run but the returned TimeTagStream. The thread that
+feeds the pool draws each block's telegraph words once, in block order, and
+carries the state on (_blink_gates). Each worker sorts its block's tag keys
+(2 * time + channel). No tag of block b or later is earlier than
+(b * _CHUNK_PULSES * period - 9 sigma_IRF), since a photon starts no earlier
+than its pulse (source_delay_ps and decay draws are >= 0) and the IRF draw
+moves it by less than 8.6 sigma (_gauss); float rounding and rint take less
+than an ulp of that start plus 0.5 ps. So once block b - 1 is in, the keys
+below that watermark are merged with the dark counts below it and released;
+the rest wait. Dead time prunes each released segment, carrying each
+channel's last kept tag, and the kept segments are concatenated.
 
 Randomness is keyed per block of _CHUNK_PULSES pulses: each (seed, stream,
 block) seeds its own SFC64 generator, whose words are drawn in a fixed order
@@ -51,7 +53,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
+from itertools import repeat
 
 import numpy as np
 
@@ -218,38 +220,26 @@ def _blink_words(
     return on, decided
 
 
-def _blink_carries(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int):
-    """Per pulse block, the telegraph state carried into it; None if static.
-
-    One pass over the blocks finds each one's last decided state, and a
-    prefix carries it past the blocks with no decided pulse.
-    """
+def _blink_gates(emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int):
+    """Yields each pulse block's per-pulse on/off gate in block order, None
+    for every block of a static emitter. A block's undecided first pulse
+    takes the last decided state before it, carried from block to block."""
+    n_blocks = -(-train.n_pulses // _CHUNK_PULSES)
     if emitter.blink_on_rate_per_s == 0.0 and emitter.blink_off_rate_per_s == 0.0:
-        return None
-
-    def end_state(block: int):
+        yield from repeat(None, n_blocks)
+        return
+    carry = None
+    for block in range(n_blocks):
         on, decided = _blink_words(emitter, train, seed, source_id, block)
-        last = decided.size - 1 - int(np.argmax(decided[::-1]))
-        return bool(on[last]) if decided[last] else None
-
-    states = _map_chunks(end_state, range(-(-train.n_pulses // _CHUNK_PULSES) - 1))
-    return [None, *accumulate(states, lambda carry, state: carry if state is None else state)]
-
-
-def _blink_gate(
-    emitter: EmitterSpec, train: PulseTrainSpec, seed: int, source_id: int, block: int, carry
-):
-    """A pulse block's per-pulse on/off gate, from its words and the state
-    carry from _blink_carries, which an undecided first pulse takes."""
-    on, decided = _blink_words(emitter, train, seed, source_id, block)
-    if not decided[0]:
-        on[0], decided[0] = carry, True
-    at = np.flatnonzero(decided)
-    return np.repeat(on[at], np.diff(at, append=on.size))
+        if not decided[0]:
+            on[0], decided[0] = carry, True
+        at = np.flatnonzero(decided)
+        carry = bool(on[at[-1]])
+        yield np.repeat(on[at], np.diff(at, append=on.size))
 
 
 def _emission_columns(
-    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int, carries
+    emitter: EmitterSpec, train: PulseTrainSpec, source_id: int, seed: int, block: int, gate
 ):
     """One source's photons of pulse block `block`, as columns (pulse, t, w)
     with k and slow.
@@ -259,14 +249,14 @@ def _emission_columns(
     primary; each group is in pulse order. pulse is a photon's pulse in the
     block, t its emission time and w[:, j] the two words of its spectral-
     diffusion Gaussian (_gauss); w is None without diffusion. slow flags the
-    primaries that took the slow branch. carries are the emitter's
-    _blink_carries; None leaves them ungated.
+    primaries that took the slow branch. gate, the block's on/off gate from
+    _blink_gates, masks the emit words; None leaves them ungated.
     """
     p0 = block * _CHUNK_PULSES
     rng = _block_rng(seed, source_id, block)
     emits = rng.random(min(_CHUNK_PULSES, train.n_pulses - p0)) < emitter.emission_prob
-    if carries is not None:
-        emits &= _blink_gate(emitter, train, seed, source_id, block, carries[block])
+    if gate is not None:
+        emits &= gate
     pulse = np.flatnonzero(emits)
     k = pulse.size
     slow = rng.random(k) < emitter.slow_fraction
@@ -501,18 +491,20 @@ def run_simulation(
         raise ValidationError("seed must fit in 64 bits")
     _require_representable(emitter1, emitter2, det, train)
     n_blocks = -(-train.n_pulses // _CHUNK_PULSES)
-    sources = [(i, e, _blink_carries(e, train, seed, i)) for i, e in ((1, emitter1), (2, emitter2))]
+    sources = ((1, emitter1), (2, emitter2))
+    gates = zip(*(_blink_gates(e, train, seed, i) for i, e in sources))
     dark = np.sort(_dark_counts(det, train.span_ps, seed))
     counts = np.zeros(3, dtype=np.int64)  # photons emitted, detected and paired
 
-    def work(block: int):
-        photons = [_emission_columns(e, train, i, seed, block, c) for i, e, c in sources]
+    def work(item):
+        block, gs = item  # gs: the block's gate of each source
+        photons = [_emission_columns(e, train, i, seed, block, g) for (i, e), g in zip(sources, gs)]
         return _route_chunk(block, emitter1, emitter2, photons, circuit, det, seed)
 
     def segments():
         """All tag keys in time order, as sorted segments (see the module docstring)."""
         pending, d0 = dark[:0], 0
-        for b, (keys, block_counts) in enumerate(_map_chunks(work, range(n_blocks)), start=1):
+        for b, (keys, block_counts) in enumerate(_map_chunks(work, enumerate(gates)), start=1):
             counts[:] += block_counts
             # the watermark in keys; the last block releases every key
             start = b * _CHUNK_PULSES * train.period_ps

@@ -16,7 +16,7 @@ import homsim as hs
 from homsim.simulate import (
     _CHUNK_PULSES,
     _STREAM_BLINK,
-    _blink_carries,
+    _blink_gates,
     _block_rng,
     _emission_columns,
     _gauss,
@@ -164,10 +164,9 @@ def emission_columns(emitter, train, source_id, seed):
     spectral-diffusion offsets that _gauss makes from each photon's words,
     None without spectral diffusion.
     """
-    carries = _blink_carries(emitter, train, seed, source_id)
     cols = {key: [] for key in ("pulse_a", "t_a", "slow_a", "f_a", "pulse_b", "t_b", "f_b")}
-    for b in range(-(-train.n_pulses // _CHUNK_PULSES)):
-        pulse, t, w, k, slow = _emission_columns(emitter, train, source_id, seed, b, carries)
+    for b, gate in enumerate(_blink_gates(emitter, train, seed, source_id)):
+        pulse, t, w, k, slow = _emission_columns(emitter, train, source_id, seed, b, gate)
         pulse = pulse + b * _CHUNK_PULSES
         f = None if w is None else emitter.spectral_diffusion_sigma_uev * _gauss(w)
         for key, col in (("pulse", pulse), ("t", t), ("f", f)):
@@ -191,9 +190,9 @@ def blink_probabilities(emitter, train):
 def blink_gate_reference(emitter, train, seed, source_id):
     """Sequential telegraph gate: one pulse at a time, carrying the state.
 
-    Reference for simulate's per-block _blink_gate, run from the state
-    _blink_carries carries into each block; draws the same words, one per pulse
-    from simulate's blink stream of the source, block by block.
+    Reference for the per-block gates of simulate._blink_gates, joined; draws
+    the same words, one per pulse from simulate's blink stream of the source,
+    block by block.
     """
     if emitter.blink_on_rate_per_s == 0.0 and emitter.blink_off_rate_per_s == 0.0:
         return None

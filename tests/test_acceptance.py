@@ -337,9 +337,9 @@ def test_criterion_13_thread_count_determinism(tmp_path):
 
 
 def test_criterion_13_first_random_draws_in_worker_threads(tmp_path):
-    # blinking sources draw their telegraph words in the pool's threads before
-    # anything else draws, so on numpy >= 2, which imports numpy.random on
-    # first use, several threads import it at once
+    # numpy >= 2 imports numpy.random on first use, which must not race with
+    # the pool's threads; blinking sources draw their telegraph words in the
+    # thread that feeds the pool while the workers draw emission words
     cfg = scenario_dict(seed=ACCEPTANCE_SEED)
     for key, blink_on in (("emitter1", 2.0e6), ("emitter2", 1.5e6)):
         cfg[key].update(blink_on_rate_per_s=blink_on, blink_off_rate_per_s=1.0e6)

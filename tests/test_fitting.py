@@ -109,6 +109,11 @@ class TestSolver:
         with pytest.raises(hs.ValidationError):
             nlls_solve(_line, np.array([1.0]), np.array([2.0]), (0.0, 0.0))
 
+    @pytest.mark.parametrize("nx,ny", [(12, 10), (10, 12)])
+    def test_x_and_y_of_different_lengths_rejected(self, nx, ny):
+        with pytest.raises(hs.ValidationError, match="must match"):
+            nlls_solve(_line, np.arange(float(nx)), np.arange(float(ny)), (0.0, 0.0))
+
     def test_model_only_evaluated_inside_the_box(self):
         # the best slope, 2, lies beyond the upper bound of 1 and the offset's
         # beyond its lower bound of -1, so the solve ends on both bounds,
@@ -336,6 +341,13 @@ class TestBiexpFit:
         assert res["tau_fast"] < res["tau_slow"]
         assert res["tau_fast"] == pytest.approx(720.0, rel=0.10)
 
+    @pytest.mark.parametrize("cut", ["t", "counts"])
+    def test_times_and_counts_of_different_lengths_rejected(self, cut):
+        t, y = self._synthetic(np.random.default_rng(7))
+        t, y = (t[:300], y) if cut == "t" else (t, y[:300])
+        with pytest.raises(hs.ValidationError, match="must match"):
+            fit_biexp_irf(t, y, irf_fwhm_ps=80.0)
+
 
 class TestG2cwFit:
     def _dip(self, tau, g0, tau_d, fwhm):
@@ -369,6 +381,18 @@ class TestG2cwFit:
         assert abs(res_noisy["g0"] - res_clean["g0"]) <= 2.0 * res_noisy.uncertainty(
             "g0"
         )
+
+    @pytest.mark.parametrize("cut", ["tau", "g2"])
+    def test_delays_and_g2_of_different_lengths_rejected(self, cut):
+        tau = np.linspace(-5000.0, 5000.0, 401)
+        y = self._dip(tau, 0.15, 500.0, 80.0)
+        tau, y = (tau[:300], y) if cut == "tau" else (tau, y[:300])
+        with pytest.raises(hs.ValidationError, match="must match"):
+            fit_g2cw(tau, y, irf_fwhm_ps=80.0)
+
+    def test_empty_histogram_rejected(self):
+        with pytest.raises(hs.ValidationError, match="more data points"):
+            fit_g2cw(np.empty(0), np.empty(0), irf_fwhm_ps=80.0)
 
 
 class TestLorentzian:

@@ -406,11 +406,7 @@ class TestBlinkGateMatchesSequentialRule:
         _, p_on_on, p_off_on = blink_probabilities(e, train)
         assert p_off_on <= p_on_on
         for stream_id in (1, 2):
-            carries = simulate._blink_carries(e, train, 31, stream_id)
-            got = np.concatenate([
-                simulate._blink_gate(e, train, 31, stream_id, b, carry)
-                for b, carry in enumerate(carries)
-            ])
+            got = np.concatenate(list(simulate._blink_gates(e, train, 31, stream_id)))
             assert np.array_equal(got, blink_gate_reference(e, train, 31, stream_id))
 
 
@@ -474,12 +470,45 @@ class TestBlockPipeline:
         train = _train(5 * simulate._CHUNK_PULSES)
         for b in range(1, 5):
             assert not simulate._blink_words(e, train, 4, 1, b)[1].any()
-        carries = simulate._blink_carries(e, train, 4, 1)
-        assert carries[1:] == [True] * 4
-        got = np.concatenate(
-            [simulate._blink_gate(e, train, 4, 1, b, carry) for b, carry in enumerate(carries)]
-        )
+        gates = list(simulate._blink_gates(e, train, 4, 1))
+        assert all(g.all() for g in gates[1:])
+        got = np.concatenate(gates)
         assert np.array_equal(got, blink_gate_reference(e, train, 4, 1))
+
+    def test_each_blink_word_is_drawn_once_per_run(self, monkeypatch):
+        drawn = []
+        words = simulate._blink_words
+
+        def counting(emitter, train, seed, source_id, block):
+            drawn.append((source_id, block))
+            return words(emitter, train, seed, source_id, block)
+
+        monkeypatch.setattr(simulate, "_blink_words", counting)
+        train = _train(3 * simulate._CHUNK_PULSES + 17)
+        e1, e2 = (make_emitter(blink_on_rate_per_s=k, blink_off_rate_per_s=1.0e6)
+                  for k in (2.0e6, 1.5e6))
+        hs.run_simulation(e1, e2, reference_circuit(), hs.DetectorSpec(), train, seed=5)
+        assert sorted(drawn) == [(i, b) for i in (1, 2) for b in range(4)]
+
+    def test_state_carried_past_undecided_blocks_at_any_worker_count(self, monkeypatch):
+        # at seed 4 source 1's blocks 1 to 4 have no decided pulse, so its
+        # state is carried from block 0 across all of them
+        e1 = make_emitter(blink_on_rate_per_s=2.0, blink_off_rate_per_s=1.0)
+        e2 = make_emitter(blink_on_rate_per_s=1.0, blink_off_rate_per_s=2.0)
+        train = _train(4 * simulate._CHUNK_PULSES + 17)
+        for b in range(1, 5):
+            assert not simulate._blink_words(e1, train, 4, 1, b)[1].any()
+        args = (e1, e2, reference_circuit(), hs.DetectorSpec(dark_rate_cps=1e4), train)
+        runs = []
+        for workers in ("1", "2", "5"):
+            monkeypatch.setenv("HOMSIM_THREADS", workers)
+            runs.append(hs.run_simulation(*args, seed=4))
+        (first, c), *rest = runs
+        assert c.photons_emitted > simulate._CHUNK_PULSES
+        for stream, counters in rest:
+            assert np.array_equal(stream.times_ps, first.times_ps)
+            assert np.array_equal(stream.channels, first.channels)
+            assert counters == c
 
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_map_chunks_runs_at_most_two_items_per_worker_ahead(self, monkeypatch, workers):
