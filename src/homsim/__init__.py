@@ -26,7 +26,7 @@ _HOMES = {
         "FitResult", "deconvolve_lorentzian", "exp_conv_gauss", "fit_biexp_irf", "fit_g2cw",
         "fit_lorentzian", "nlls_solve",
     ),
-    "formats": ("read_ptg1", "write_ptg1"),
+    "formats": ("TimeTagStream", "read_ptg1", "write_ptg1"),
     "interfere": (
         "coherence_kernel", "envelope_cross_correlation", "g2_closed_form",
         "postselected_visibility", "predicted_hom_dip", "visibility_closed_form",
@@ -37,7 +37,7 @@ _HOMES = {
         "EstimationError", "ModelDomainError", "PulseTrainSpec", "ValidationError",
         "detuning_to_angular", "t2_from_linewidth",
     ),
-    "simulate": ("SimulationCounters", "TimeTagStream", "delayed_reference", "run_simulation"),
+    "simulate": ("SimulationCounters", "delayed_reference", "run_simulation"),
 }
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 

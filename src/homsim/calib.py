@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import nlls_solve
 from .model import ValidationError
 
 
@@ -126,16 +125,14 @@ def fringe_visibility(
     return float(v), float(v_err)
 
 
-def _malus_model(theta_rad, p):
-    i0, rho, theta0 = p
-    return i0 * (1.0 + rho * np.cos(2.0 * (theta_rad - theta0)))
-
-
 def dolp(angles_deg: np.ndarray, intensity: np.ndarray) -> tuple[float, float]:
     """Degree of linear polarization from an analyzer-angle sweep.
 
-    Fits I(theta) = I0*(1 + rho*cos 2(theta - theta0)); DOLP is the fitted
-    rho = (I_max - I_min)/(I_max + I_min) of the curve. Returns (dolp, error).
+    I0*(1 + rho*cos 2(theta - theta0)) = a + b*cos 2theta + c*sin 2theta is
+    linear in (a, b, c), so one least-squares solve fits it. DOLP is
+    rho = hypot(b, c)/a = (I_max - I_min)/(I_max + I_min), capped at 1; its
+    error is the delta method on cov = (A^T A)^-1 * chi^2/(n - 3), the
+    unweighted covariance of fitting.nlls_solve. Returns (dolp, error).
     """
     th = _finite("angles", angles_deg)
     y = _finite("intensities", intensity)
@@ -145,21 +142,17 @@ def dolp(angles_deg: np.ndarray, intensity: np.ndarray) -> tuple[float, float]:
         raise ValidationError("need >= 8 analyzer angles")
     if np.ptp(th) < 180.0 - 1e-9:
         raise ValidationError("analyzer sweep must span >= 180 degrees")
-    th_rad = np.deg2rad(th)
-    i0_0 = float(np.mean(y))
-    if i0_0 <= 0:
+    two = 2.0 * np.deg2rad(th)
+    design = np.column_stack((np.ones_like(two), np.cos(two), np.sin(two)))
+    (a, b, c), chisq, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < 3:
+        raise ValidationError("analyzer angles must take >= 3 values modulo 180 degrees")
+    if a <= 0:
         raise ValidationError("mean intensity must be positive")
-    rho_0 = float(np.clip(np.ptp(y) / (2.0 * i0_0), 0.0, 1.0))
-    theta0_0 = float(th_rad[int(np.argmax(y))])
-    res = nlls_solve(
-        _malus_model,
-        th_rad,
-        y,
-        (i0_0, rho_0, theta0_0),
-        bounds=[(1e-300, np.inf), (0.0, 1.0), (-2.0 * np.pi, 2.0 * np.pi)],
-        param_names=("i0", "rho", "theta0"),
-    )
-    return float(res["rho"]), float(res.uncertainty("rho"))
+    cov = np.linalg.inv(design.T @ design) * chisq[0] / (th.size - 3)
+    amp, two_theta0 = np.hypot(b, c), np.arctan2(c, b)
+    grad = np.array([-amp / a, np.cos(two_theta0), np.sin(two_theta0)]) / a  # d rho/d(a, b, c)
+    return float(min(amp / a, 1.0)), float(np.sqrt(grad @ cov @ grad))
 
 
 def fit_loss(

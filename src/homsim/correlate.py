@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import TimeTagStream
 from .model import (
     ConfigurationError,
     EstimationError,
@@ -20,8 +21,8 @@ from .model import (
     _comb_ks,
     _dead_zone_edge,
     _grid_bins,
+    _map_chunks,
 )
-from .simulate import TimeTagStream, _map_chunks
 
 
 @dataclass(frozen=True)

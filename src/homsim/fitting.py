@@ -1,10 +1,9 @@
 """Bounded nonlinear least squares and the fit models used by the toolkit.
 
-One numpy solver, _trf_least_squares, serves every fit here, calib.dolp and
-the background floor of the correlation analysis
-(correlate.estimate_background). It is the trust-region reflective method
-of scipy.optimize.least_squares for box bounds, in numpy alone, so no
-homsim module imports scipy. Decay and dip models convolve exponentials
+One numpy solver, _trf_least_squares, serves every fit here and the
+background floor of the correlation analysis (correlate.estimate_background).
+It is the trust-region reflective method of scipy.optimize.least_squares for
+box bounds, in numpy alone, so no homsim module imports scipy. Decay and dip models convolve exponentials
 with a Gaussian timing response in exact closed form (exp_conv_gauss).
 """
 

@@ -1,4 +1,5 @@
-"""Bit-exact file formats: PTG1 binary time tags, CSV tables, JSON reports.
+"""The tag stream, its rules and its files: TimeTagStream and _check_tags,
+PTG1 binary time tags, CSV tables, JSON reports.
 
 PTG1 layout (all little-endian): magic "PTG1" (4 bytes), version u16 = 1,
 resolution_ps u64, record_count u64 — a 22-byte header — followed by
@@ -16,6 +17,7 @@ import json
 import os
 import struct
 import warnings
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,7 +26,61 @@ from .model import ValidationError
 
 if TYPE_CHECKING:
     from .correlate import CorrelationHistogram, PeakAnalysis, Timetrace
-    from .simulate import TimeTagStream
+
+# Tag times lie in [0, TAG_CLOCK_PS) ps, so that a tag plus a dead time or a
+# stream span, and the merge key 2 * tag + 1, fit int64.
+TAG_CLOCK_PS = 1 << 62
+
+
+def _check_tags(times, channels, where=lambda i, field: "") -> None:
+    """Raises a ValidationError naming the index and value of the first tag
+    that breaks a stream rule: times sorted and in [0, TAG_CLOCK_PS) ps,
+    channels 0 or 1. where(i, field) says where tag i's "time" or "channel" is."""
+    if times.size != channels.size:
+        raise ValidationError("times and channels must have equal length")
+    unsorted, bad = times[1:] < times[:-1], (channels != 0) & (channels != 1)
+    on_clock = not times.size or (times[0] >= 0 and times[-1] < TAG_CLOCK_PS)
+    if on_clock and not unsorted.any() and not bad.any():
+        return
+    bad |= (times < 0) | (times >= TAG_CLOCK_PS)
+    bad[1:] |= unsorted
+    i = int(np.argmax(bad))
+    t, at = int(times[i]), where(i, "time")
+    if i and t < times[i - 1]:
+        raise ValidationError("unsorted record %d%s: time %d follows %d" % (i, at, t, times[i - 1]))
+    if not 0 <= t < TAG_CLOCK_PS:
+        msg = "time %d of record %d%s is past the bounds: tag times must lie in [0, 2^62) ps"
+        raise ValidationError(msg % (t, i, at))
+    msg = "invalid channel %d in record %d%s: channels must be 0 or 1"
+    raise ValidationError(msg % (channels[i], i, where(i, "channel")))
+
+
+@dataclass(frozen=True)
+class TimeTagStream:
+    """Detector output: channel/time records sorted by time.
+
+    times_ps are integer picoseconds in [0, TAG_CLOCK_PS); channels are
+    0/1: rules that live in _check_tags, whose error names the first bad
+    tag. run_simulation sets seed; config_digest stays None until the tag
+    file carries provenance (ROADMAP item 7).
+    """
+
+    times_ps: np.ndarray
+    channels: np.ndarray
+    seed: int | None = None
+    config_digest: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_tags(self.times_ps, self.channels)
+
+    @property
+    def n_records(self) -> int:
+        return int(self.times_ps.size)
+
+    @property
+    def span_ps(self) -> int:
+        return int(self.times_ps[-1] - self.times_ps[0]) if self.n_records else 0
+
 
 PTG1_MAGIC = b"PTG1"
 PTG1_VERSION = 1
@@ -52,8 +108,6 @@ def read_ptg1(path) -> TimeTagStream:
     """Read a tag file one record slice at a time, rejecting malformed
     content with byte offsets. The records obey TimeTagStream's rules; an
     error names the first record that breaks one."""
-    from .simulate import TimeTagStream, _check_tags  # here, so that the CSV commands skip it
-
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:

@@ -1,5 +1,6 @@
 """Physical parameter containers, validation, and unit conversions, and the
-correlation grid and peak-comb rules that scenarios and analyses share.
+rules that simulation and analysis share: the correlation grid, the dead
+zones and the peak comb, and the HOMSIM_THREADS worker count and its pool.
 
 All times are picoseconds, energies are micro-eV offsets from a common
 reference, rates are per second unless a suffix says otherwise.
@@ -8,6 +9,7 @@ reference, rates are per second unless a suffix says otherwise.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -263,3 +265,34 @@ def _comb_ks(period_ps, window_ps, delta_t_ps, n_side, prefix="", width=None):
         msg = "%sn_side peak comb (outermost edge %g ps) does not fit in the +-%g ps %swindow_ps"
         raise ConfigurationError(msg % (prefix, outermost, window_ps, prefix))
     return np.arange(-(n_side // 2), n_side // 2 + 1)
+
+
+def _worker_count() -> int:
+    env = os.environ.get("HOMSIM_THREADS", "").strip()
+    if env:
+        try:
+            n = int(env)
+        except ValueError as exc:
+            raise ConfigurationError("HOMSIM_THREADS must be an integer") from exc
+        if n < 1:
+            raise ConfigurationError("HOMSIM_THREADS must be >= 1")
+        return n
+    return os.cpu_count() or 1
+
+
+def _map_chunks(fn, items):
+    """Yields fn(item) for each item in order, from a pool of _worker_count()
+    threads that runs at most two items per thread ahead of the consumer."""
+    # here, so that the modules that load model but map nothing skip them
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _worker_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()

@@ -1,5 +1,6 @@
-"""Monte Carlo engine: pulsed emission, splitter routing with pairwise
-two-photon interference, losses, timing jitter, dark counts, dead time.
+"""Monte Carlo engine, and nothing else: pulsed emission, splitter routing
+with pairwise two-photon interference, losses, timing jitter, dark counts,
+dead time. The TimeTagStream it returns lives in formats, its pool in model.
 
 run_simulation is the one simulation core. It works one chunk of pulses at
 a time on photon columns, one entry per photon that exists: each source's
@@ -49,22 +50,20 @@ next kind; a Gaussian takes two words, see _gauss):
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
+from .formats import TAG_CLOCK_PS, TimeTagStream
 from .interfere import coherence_kernel
 from .model import (
     CircuitSpec,
-    ConfigurationError,
     DetectorSpec,
     EmitterSpec,
     PulseTrainSpec,
     ValidationError,
+    _map_chunks,
     detuning_to_angular,
 )
 
@@ -72,59 +71,6 @@ _STREAM_CIRCUIT = 3
 _STREAM_DARK = 4  # + channel
 _STREAM_BLINK = 5  # + source id
 _CHUNK_PULSES = 1 << 16
-# Tag times lie in [0, TAG_CLOCK_PS) ps, so that a tag plus a dead time or a
-# stream span, and the merge key 2 * tag + 1, fit int64.
-TAG_CLOCK_PS = 1 << 62
-
-
-def _check_tags(times, channels, where=lambda i, field: "") -> None:
-    """Raises a ValidationError naming the index and value of the first tag
-    that breaks a stream rule: times sorted and in [0, TAG_CLOCK_PS) ps,
-    channels 0 or 1. where(i, field) says where tag i's "time" or "channel" is."""
-    if times.size != channels.size:
-        raise ValidationError("times and channels must have equal length")
-    unsorted, bad = times[1:] < times[:-1], (channels != 0) & (channels != 1)
-    on_clock = not times.size or (times[0] >= 0 and times[-1] < TAG_CLOCK_PS)
-    if on_clock and not unsorted.any() and not bad.any():
-        return
-    bad |= (times < 0) | (times >= TAG_CLOCK_PS)
-    bad[1:] |= unsorted
-    i = int(np.argmax(bad))
-    t, at = int(times[i]), where(i, "time")
-    if i and t < times[i - 1]:
-        raise ValidationError("unsorted record %d%s: time %d follows %d" % (i, at, t, times[i - 1]))
-    if not 0 <= t < TAG_CLOCK_PS:
-        msg = "time %d of record %d%s is past the bounds: tag times must lie in [0, 2^62) ps"
-        raise ValidationError(msg % (t, i, at))
-    msg = "invalid channel %d in record %d%s: channels must be 0 or 1"
-    raise ValidationError(msg % (channels[i], i, where(i, "channel")))
-
-
-@dataclass(frozen=True)
-class TimeTagStream:
-    """Detector output: channel/time records sorted by time.
-
-    times_ps are integer picoseconds in [0, TAG_CLOCK_PS); channels are
-    0/1: rules that live in _check_tags, whose error names the first bad
-    tag. run_simulation sets seed; config_digest stays None until the tag
-    file carries provenance (ROADMAP item 7).
-    """
-
-    times_ps: np.ndarray
-    channels: np.ndarray
-    seed: int | None = None
-    config_digest: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_tags(self.times_ps, self.channels)
-
-    @property
-    def n_records(self) -> int:
-        return int(self.times_ps.size)
-
-    @property
-    def span_ps(self) -> int:
-        return int(self.times_ps[-1] - self.times_ps[0]) if self.n_records else 0
 
 
 @dataclass(frozen=True)
@@ -140,33 +86,6 @@ class SimulationCounters:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("HOMSIM_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigurationError("HOMSIM_THREADS must be an integer") from exc
-        if n < 1:
-            raise ConfigurationError("HOMSIM_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def _map_chunks(fn, items):
-    """Yields fn(item) for each item in order, from a pool of _worker_count()
-    threads that runs at most two items per thread ahead of the consumer."""
-    workers = _worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead = deque()
-        for item in items:
-            ahead.append(pool.submit(fn, item))
-            if len(ahead) > 2 * workers:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
 
 
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:

@@ -338,16 +338,30 @@ def test_criterion_13_thread_count_determinism(tmp_path):
 
 def test_criterion_13_first_random_draws_in_worker_threads(tmp_path):
     # numpy >= 2 imports numpy.random on first use, which must not race with
-    # the pool's threads; blinking sources draw their telegraph words in the
-    # thread that feeds the pool while the workers draw emission words
+    # the pool's threads: run_simulation makes its first draw, through
+    # _block_rng, in the calling thread before the pool starts. Each run
+    # records where its first _block_rng call ran; blinking sources draw
+    # their telegraph words in the thread that feeds the pool while the
+    # workers draw emission words, and the files match at every worker count
     cfg = scenario_dict(seed=ACCEPTANCE_SEED)
     for key, blink_on in (("emitter1", 2.0e6), ("emitter2", 1.5e6)):
         cfg[key].update(blink_on_rate_per_s=blink_on, blink_off_rate_per_s=1.0e6)
     cfg["train"]["n_pulses"] = 300_000  # five pulse blocks
-    unloaded = (
-        "import numpy; "
-        "assert int(numpy.__version__.split('.')[0]) < 2 or 'numpy.random' not in sys.modules; "
-    )
-    blobs = _simulate_at_1_2_8_threads(tmp_path, cfg, unloaded)
+    record = (
+        "\nimport os, threading\n"
+        "import numpy\n"
+        "import homsim.simulate as sim\n"
+        "assert int(numpy.__version__.split('.')[0]) < 2 or 'numpy.random' not in sys.modules\n"
+        "def recorded(*args, draw=sim._block_rng, first=[]):\n"
+        "    if not first:\n"
+        "        first.append(threading.current_thread() is threading.main_thread())\n"
+        "        with open(%r %% os.environ['HOMSIM_THREADS'], 'w') as fh:\n"
+        "            fh.write(str(first[0]))\n"
+        "    return draw(*args)\n"
+        "sim._block_rng = recorded\n"
+    ) % str(tmp_path / "first_draw_%s.txt")
+    blobs = _simulate_at_1_2_8_threads(tmp_path, cfg, record)
     assert blobs["1"] == blobs["2"] == blobs["8"]
     assert len(blobs["1"]) > 22
+    for workers in blobs:
+        assert (tmp_path / ("first_draw_%s.txt" % workers)).read_text() == "True"

@@ -202,6 +202,48 @@ class TestDolp:
         rho, _ = hs.dolp(ang, y)
         assert abs(rho) <= 0.02
 
+    def test_sweep_past_360_degrees(self):
+        # the brightest sample, at 370 degrees, lies past a 2 pi bound on theta0
+        ang = np.arange(0.0, 391.0, 10.0)
+        y = 100.0 * (1.0 + 0.5 * np.cos(2.0 * np.deg2rad(ang - 15.0)))
+        y[ang == 370.0] += 0.5
+        rho, err = hs.dolp(ang, y)
+        assert abs(rho - 0.5) <= 1e-3
+        assert 0.0 < err < 1e-3
+
+    @pytest.mark.parametrize(
+        "ang,y",
+        [
+            (np.linspace(0.0, 360.0, 73),
+             800.0 * (1.0 + 0.005 * np.random.default_rng(16).standard_normal(73))),
+            (np.linspace(0.0, 180.0, 19), 100.0 + np.random.default_rng(90).standard_normal(19)),
+        ],
+        ids=["73-angles-seed-16", "19-angles-seed-90"],
+    )
+    def test_weak_polarization_at_the_least_squares_minimum(self, ang, y):
+        """rho equals the best of scipy's least_squares on the Malus model,
+        started at four analyzer angles, and its error is finite."""
+        from scipy.optimize import least_squares
+
+        th = np.deg2rad(ang)
+
+        def residuals(p):
+            return p[0] * (1.0 + p[1] * np.cos(2.0 * (th - p[2]))) - y
+
+        starts = [(np.mean(y), 0.1, np.deg2rad(deg)) for deg in (0.0, 45.0, 90.0, 135.0)]
+        tol = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        best = min((least_squares(residuals, x0, **tol) for x0 in starts), key=lambda s: s.cost)
+        rho, err = hs.dolp(ang, y)
+        assert rho == pytest.approx(abs(best.x[1]), rel=1e-6)
+        assert np.isfinite(err)
+
+    def test_noisy_full_polarization_capped_at_one(self):
+        # the linear fit of this sweep gives sqrt(b^2 + c^2)/a = 1.004
+        ang, y = _malus_sweep(1.0, n=73, noise_frac=0.02, seed=0)
+        rho, err = hs.dolp(ang, y)
+        assert rho == 1.0
+        assert 0.0 < err < 0.01
+
     def test_too_few_angles_rejected(self):
         ang, y = _malus_sweep(0.5, n=7)
         ang = np.linspace(0.0, 200.0, 7)
@@ -213,6 +255,12 @@ class TestDolp:
         y = 1.0 + 0.5 * np.cos(2.0 * np.deg2rad(ang))
         with pytest.raises(hs.ValidationError):
             hs.dolp(ang, y)
+
+    def test_two_angles_modulo_180_degrees_rejected(self):
+        # cos 2theta and sin 2theta take two values, too few to fix the curve
+        ang = np.array([0.0, 90.0, 180.0, 270.0, 360.0, 90.0, 0.0, 180.0])
+        with pytest.raises(hs.ValidationError, match="3 values modulo 180"):
+            hs.dolp(ang, np.array([3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 3.0]))
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(hs.ValidationError):

@@ -121,7 +121,7 @@ class TestCrossCorrelate:
             make_stream([times[0]], [times[1]])
 
     def test_latest_tag_on_the_clock_correlates_exactly(self):
-        last = hs.simulate.TAG_CLOCK_PS - 1
+        last = hs.formats.TAG_CLOCK_PS - 1
         assert last == 2**62 - 1
         hist = hs.cross_correlate(make_stream([last - 5], [last]), 10.0, 1000.0)
         assert hist.counts.sum() == 1
@@ -577,7 +577,7 @@ class TestTimetrace:
         # a float64 fold of 2^58 + 12345 ps at 76 MHz is 7 ps off, and one of
         # 2^62 - 12345 ps 57 ps off
         rng = np.random.default_rng(62)
-        clock = hs.simulate.TAG_CLOCK_PS
+        clock = hs.formats.TAG_CLOCK_PS
         times = np.concatenate((
             [2**58 + 12345, clock - 12345, clock - 1],
             clock - rng.integers(1, 2**40, size=3000),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import homsim as hs
-from homsim import calib, fitting
+from homsim import fitting
 from homsim.config import parse_scenario
 from homsim.fitting import (
     _erfcx,
@@ -242,9 +242,6 @@ def _parity_cases():
     y_dip = _dip(tau, 0.15, 500.0, 80.0) + rng.normal(0.0, 0.01, tau.size)
     e = np.linspace(-60.0, 60.0, 241)
     y_line_shape = _lorentz(e, 100.0, 3.0, 16.5, 2.0) + rng.normal(0.0, 0.05, e.size)
-    th = np.arange(0.0, 360.0, 10.0)
-    y_malus = 100.0 * (1.0 + 0.8 * np.cos(2.0 * np.deg2rad(th - 30.0)))
-    y_malus += rng.normal(0.0, 2.0, th.size)
     flat = np.linspace(0.0, 1.0, 10)
     cases = {
         "solver-exact-line": lambda: nlls_solve(_line, x12, 2.5 + 0.75 * x12, (0.0, 0.0)),
@@ -264,7 +261,6 @@ def _parity_cases():
         "g2cw-flat": lambda: fit_g2cw(tau, np.ones_like(tau), 80.0),
         "lorentzian": lambda: fit_lorentzian(e, y_line_shape),
         "lorentzian-exact": lambda: fit_lorentzian(e, _lorentz(e, 100.0, 3.0, 16.5, 2.0)),
-        "dolp": lambda: calib.dolp(th, y_malus),
     }
     for seed in (20260815, 0, 1):
         cases["decay-%d" % seed] = lambda seed=seed: fit_biexp_irf(*_readme_trace(seed), 80.0)

@@ -162,7 +162,7 @@ found = [
 ]
 print(json.dumps(found))
 """
-    assert _python(probe) == ["homsim.formats", "homsim.fitting", "homsim.simulate", True]
+    assert _python(probe) == ["homsim.formats", "homsim.fitting", "homsim.formats", True]
 
 
 def test_star_import_binds_every_exported_name():
@@ -180,9 +180,14 @@ print(json.dumps([n for n in homsim.__all__ if n not in globals()]))
 _NOT_LOADED = {
     "theory": {"homsim.simulate", "homsim.correlate", "homsim.fitting", "homsim.calib"},
     "fit-decay": {"homsim.simulate", "homsim.correlate"},
-    "correlate": {"homsim.svgplot"},
-    "timetrace": {"homsim.fitting", "homsim.svgplot"},
+    "correlate": {"homsim.simulate", "homsim.interfere", "homsim.svgplot"},
+    "timetrace": {"homsim.simulate", "homsim.interfere", "homsim.fitting", "homsim.svgplot"},
     "simulate": {"homsim.fitting"},
+    "analyze-hom": {"homsim.simulate"},
+    "calib-splitter": {"homsim.fitting"},
+    "calib-fringe": {"homsim.fitting"},
+    "calib-loss": {"homsim.fitting"},
+    "calib-dolp": {"homsim.fitting"},
 }
 _NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import homsim as hs
-from homsim import simulate
+from homsim import model, simulate
 from helpers import (
     blink_gate_reference,
     blink_probabilities,
@@ -520,7 +520,7 @@ class TestBlockPipeline:
                 pulled.append(i)
                 yield i
 
-        for k, r in enumerate(simulate._map_chunks(lambda i: i * i, items())):
+        for k, r in enumerate(model._map_chunks(lambda i: i * i, items())):
             assert r == k * k
             assert len(pulled) <= k + 1 + 2 * int(workers)
         assert len(pulled) == 40
