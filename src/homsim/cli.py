@@ -125,13 +125,13 @@ def _cmd_simulate(args) -> None:
         cfg.emitter1, cfg.emitter2, cfg.circuit, cfg.detector, cfg.train, cfg.seed
     )
     write_ptg1(args.out, stream)
-    for key, value in counters.as_dict().items():
+    for key, value in asdict(counters).items():
         print("%s: %d" % (key.replace("_", " "), value))
     if args.report:
         write_report(
             args.report,
             {
-                "counters": counters.as_dict(),
+                "counters": asdict(counters),
                 "seed": cfg.seed,
                 "config_digest": config_digest(cfg),
                 "out": str(args.out),
@@ -143,7 +143,7 @@ def _cmd_analyze_hom(args) -> None:
     from . import correlate, interfere
     from .config import config_digest
     from .formats import write_histogram_csv, write_peaks_csv, write_report
-    from .svgplot import histogram_svg
+    from .svgplot import line_chart_svg
 
     cfg = load_scenario(args.config)
     ana = cfg.analysis
@@ -177,8 +177,9 @@ def _cmd_analyze_hom(args) -> None:
     write_histogram_csv(hist_csv, hist)
     svg_path = args.out_prefix + "_hist.svg"
     half = headline.delta_t_ps / 2.0
-    centers = (period * headline.k_values).tolist()
-    histogram_svg(svg_path, hist, peak_spans=[(c - half, c + half) for c in centers])
+    spans = [(c - half, c + half) for c in (period * headline.k_values).tolist()]
+    line_chart_svg(svg_path, hist.bin_centers_ps, hist.counts, "delay (ps)",
+                   "coincidences per bin", "Correlation histogram", spans)
     peaks_csv = args.out_prefix + "_peaks.csv"
     write_peaks_csv(peaks_csv, table_raw, table_corr)
 

@@ -93,7 +93,7 @@ def nlls_solve(
     p = np.array(p0, dtype=float)
     n_par = p.size
     _require_points(x, y, n_par)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
         raise ValidationError("data and initial parameters must be finite")
     if sigma is None:
         w = np.ones_like(y)
@@ -386,25 +386,24 @@ def exp_conv_gauss(u, tau: float, sigma: float):
     """Exact one-sided exponential decay convolved with a unit-area Gaussian.
 
     Returns exp(-u/tau) * theta(u) convolved with N(0, sigma^2), evaluated
-    stably via the scaled complementary error function.
+    stably via the scaled complementary error function. sigma must be finite
+    and positive: at sigma = 0 the model is a step that no fit can place.
     """
     u = np.asarray(u, dtype=float)
     if not tau > 0:
         raise ValidationError("decay constant must be strictly positive, got %r" % (tau,))
-    if not 0 <= sigma < np.inf:
-        raise ValidationError("IRF sigma must be finite and >= 0, got %r" % (sigma,))
-    if sigma == 0.0:
-        out = np.where(u >= 0.0, np.exp(-np.clip(u, 0.0, None) / tau), 0.0)
-        return out if out.ndim else float(out)
-    z = (sigma / tau - u / sigma) / _SQRT2
-    safe = z < 25.0
+    if not 0 < sigma < np.inf:
+        raise ValidationError("IRF sigma must be finite and > 0, got %r" % (sigma,))
     # Large positive z underflows anyway; at large negative z erfcx blows up
     # as e^{z^2} and the plain exponential form is exact, so clip the erfcx
-    # argument to the band where its branch is actually selected.
-    zs = np.clip(z, -25.0, 25.0)
-    out_safe = 0.5 * _erfcx(zs) * np.exp(-0.5 * (u / sigma) ** 2)
-    plain = np.exp(np.clip(0.5 * (sigma / tau) ** 2 - u / tau, None, 700.0))
-    out = np.where(z <= -25.0, plain, np.where(safe, out_safe, 0.0))
+    # argument to the band where its branch is actually selected. At extreme
+    # widths the numpy terms overflow to inf, which each branch maps to its
+    # limit.
+    with np.errstate(over="ignore"):
+        z = (sigma / tau - u / sigma) / _SQRT2
+        out_safe = 0.5 * _erfcx(np.clip(z, -25.0, 25.0)) * np.exp(-0.5 * (u / sigma) ** 2)
+        plain = np.exp(np.clip(0.5 * (sigma / tau) ** 2 - u / tau, None, 700.0))
+    out = np.where(z <= -25.0, plain, np.where(z < 25.0, out_safe, 0.0))
     return out if out.ndim else float(out)
 
 
@@ -554,9 +553,11 @@ def fit_lorentzian(energy_uev: np.ndarray, y: np.ndarray) -> FitResult:
     i_max = int(np.argmax(yv))
     height = float(yv[i_max] - base0)
     half = base0 + height / 2.0
+    if not (np.all(np.isfinite(e)) and e[-1] > e[0]):
+        raise ValidationError("energies must be finite and take more than one value")
     above = np.flatnonzero(yv >= half)
     fwhm0 = float(e[above[-1]] - e[above[0]]) if above.size > 1 else float(e[1] - e[0])
-    fwhm0 = max(fwhm0, float(np.min(np.diff(e))))
+    fwhm0 = max(fwhm0, float(np.min(np.diff(np.unique(e)))))  # energies may repeat
     return nlls_solve(
         _lorentzian_model,
         e,

@@ -61,14 +61,12 @@ class TimeTagStream:
 
     times_ps are integer picoseconds in [0, TAG_CLOCK_PS); channels are
     0/1: rules that live in _check_tags, whose error names the first bad
-    tag. run_simulation sets seed; config_digest stays None until the tag
-    file carries provenance (ROADMAP item 7).
+    tag. The stream is its tags alone; the seed and the config digest of a
+    run go into the reports of homsim simulate and analyze-hom.
     """
 
     times_ps: np.ndarray
     channels: np.ndarray
-    seed: int | None = None
-    config_digest: str | None = None
 
     def __post_init__(self) -> None:
         _check_tags(self.times_ps, self.channels)

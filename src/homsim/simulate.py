@@ -50,7 +50,7 @@ next kind; a Gaussian takes two words, see _gauss):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -83,9 +83,6 @@ class SimulationCounters:
     dead_time_pruned: int
     pairs_interfered: int
     tags_written: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -447,7 +444,7 @@ def run_simulation(
             t, c = t[kept], c[kept]  # one index for both: faster than a mixed boolean mask
         times.append(t)
         chans.append(c)
-    stream = TimeTagStream(np.concatenate(times), np.concatenate(chans), seed=seed)
+    stream = TimeTagStream(np.concatenate(times), np.concatenate(chans))
     return stream, SimulationCounters(
         photons_emitted=int(counts[0]),
         photons_detected=int(counts[1]),

@@ -1,8 +1,8 @@
 """Minimal standalone SVG line charts (no display dependency).
 
-One chart style: a polyline over numeric data with axes, tick labels,
-optional shaded x-spans (used to mark peak integration windows), and a
-title. Output is a self-contained SVG file.
+line_chart_svg draws a polyline over numeric data with axes, tick labels,
+optional shaded x-spans and a title: analyze-hom's correlation histogram,
+its peak integration windows shaded. Output is a self-contained SVG file.
 """
 
 from __future__ import annotations
@@ -118,17 +118,4 @@ def line_chart_svg(
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def histogram_svg(path, hist, peak_spans):
-    """Chart a correlation histogram with its peak windows shaded."""
-    line_chart_svg(
-        path,
-        hist.bin_centers_ps,
-        hist.counts,
-        x_label="delay (ps)",
-        y_label="coincidences per bin",
-        title="Correlation histogram",
-        shaded_spans=peak_spans,
-    )
 

@@ -78,6 +78,14 @@ class TestTheory:
         assert code == 2
         assert out == "" and err.startswith("error:") and "delta_uev" in err
 
+    def test_polarisation_overlap_above_1_exits_2(self, run):
+        code, out, err = run(
+            "theory", "--t1-1", 720, "--t2-1", 100, "--t1-2", 600, "--t2-2", 440,
+            "--pol-overlap", 1.5,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "pol_overlap" in err
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -404,6 +412,28 @@ class TestCorrelateCommand:
         assert "Traceback" not in err and out == ""
         assert list(tmp_path.glob("[ac]*")) == []
 
+    @pytest.mark.parametrize("workers", ["0", "abc"])
+    def test_bad_thread_count_exits_2(self, run, monkeypatch, sim_artifacts, tmp_path, workers):
+        monkeypatch.setenv("HOMSIM_THREADS", workers)
+        code, out, err = run(
+            "correlate", "--tags", sim_artifacts["tags"],
+            "--bin-width-ps", 50, "--window-ps", 40000, "--out", tmp_path / "c.csv",
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: HOMSIM_THREADS must ")
+
+    def test_window_wider_than_the_data_span_exits_2_naming_the_span(self, run, tmp_path):
+        # 200 pulses at 76 MHz span about 2.6 us, less than the 10 us window
+        cfg = write_config(tmp_path, train={"rep_rate_mhz": 76.0, "n_pulses": 200,
+                                            "source_delay_ps": 0.0})
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "t.ptg1")[0] == 0
+        code, out, err = run(
+            "correlate", "--tags", tmp_path / "t.ptg1",
+            "--bin-width-ps", 50, "--window-ps", 1e7, "--out", tmp_path / "c.csv",
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: correlation window 1e+07 ps exceeds the data span")
+
     def test_finite_bin_count_past_any_array_exits_2_on_a_short_line(self, run, tmp_path):
         # 2e300 bins is a finite float with 301 digits as an integer
         code, out, err = run(
@@ -625,13 +655,20 @@ _NON_FINITE_CASES = {
     **{
         "fit-decay-irf-" + v: (["fit-decay", "--data", "{data}", "--irf-fwhm-ps", v],
                                (_DECAY_X, 1000.0 * np.exp(-_DECAY_X / 700.0) + 5.0), None)
-        for v in ("nan", "inf")
+        for v in ("nan", "inf", "0")
     },
     **{
         "fit-g2cw-irf-" + v: (["fit-g2cw", "--data", "{data}", "--irf-fwhm-ps", v],
                               (_DIP_X, 1.0 - 0.8 * np.exp(-np.abs(_DIP_X) / 800.0)), None)
-        for v in ("nan", "inf")
+        for v in ("nan", "inf", "0")
     },
+    # a NaN abscissa, which the models would evaluate to their baseline
+    "fit-decay-time-nan": (["fit-decay", "--data", "{data}", "--irf-fwhm-ps", "80"],
+                           (_with(_DECAY_X, 5, np.nan), 1000.0 * np.exp(-_DECAY_X / 700.0) + 5.0),
+                           None),
+    "fit-g2cw-delay-nan": (["fit-g2cw", "--data", "{data}", "--irf-fwhm-ps", "80"],
+                           (_with(_DIP_X, 5, np.nan), 1.0 - 0.8 * np.exp(-np.abs(_DIP_X) / 800.0)),
+                           None),
     "calib-splitter-inf": (["calib-splitter", "inf", "1", "1", "1"], None, None),
     # outcoupling imbalances of 1e616 and 1e-616
     "calib-splitter-imbalance-over": (["calib-splitter", "1e308", "1e-308", "1e-308", "1e308"],

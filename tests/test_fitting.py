@@ -1,6 +1,7 @@
 """Least-squares solver, the closed-form IRF convolution, and the curve models."""
 
 import json
+import warnings
 
 import mpmath
 import numpy as np
@@ -195,13 +196,26 @@ class TestErfcx:
     @pytest.mark.parametrize(
         "tau,sigma",
         [(np.nan, 34.0), (0.0, 34.0), (-1.0, 34.0), (720.0, np.nan), (720.0, np.inf),
-         (720.0, -1.0)],
+         (720.0, -1.0), (720.0, 0.0)],
     )
     def test_exp_conv_gauss_rejects_a_bad_decay_or_width(self, tau, sigma):
-        # NaN passes a "tau <= 0" or "sigma < 0" check, and a NaN or
-        # infinite sigma would make the decay term exactly 0
+        # NaN passes a "tau <= 0" or "sigma < 0" check, a NaN or infinite
+        # sigma would make the decay term exactly 0, and at sigma = 0 the
+        # model is a step whose position no fit can resolve
         with pytest.raises(hs.ValidationError):
             exp_conv_gauss(np.linspace(-100.0, 100.0, 5), tau, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-310])
+    def test_exp_conv_gauss_tends_to_the_step_at_tiny_widths(self, sigma):
+        # u / sigma overflows to inf, which each branch maps to its limit,
+        # without a warning; the step's edge takes half its height
+        u = np.array([-5000.0, -1.0, 0.0, 1.0, 700.0, 5000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exp_conv_gauss(u, 720.0, sigma)
+        want = np.where(u > 0.0, np.exp(-np.abs(u) / 720.0), 0.0)
+        want[u == 0.0] = 0.5
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _scipy_trf(fun, x0, lo, hi):
@@ -429,6 +443,22 @@ class TestLorentzian:
         up, down = fit_lorentzian(e, y), fit_lorentzian(e[::-1], y[::-1])
         for name in ("area", "center", "fwhm", "baseline"):
             assert down[name] == pytest.approx(up[name], rel=1e-9)
+
+    def test_a_peak_sampled_twice_at_one_energy_is_fitted(self):
+        # the samples above half maximum share one energy, so their spread
+        # is 0; the initial width is then the smallest positive spacing
+        e = np.sort(np.append(np.arange(-4.0, 5.0), 0.0))
+        y = np.ones_like(e)
+        y[e == 0.0] = (9.0, 9.2)
+        res = fit_lorentzian(e, y)
+        assert res["fwhm"] > 0.0 and -1.0 < res["center"] < 1.0
+
+    @pytest.mark.parametrize(
+        "bad", [np.full(6, 2.0), np.array([0.0, 1, 2, np.nan, 4, 5])], ids=["one-value", "nan"]
+    )
+    def test_energies_must_be_finite_and_not_all_equal(self, bad):
+        with pytest.raises(hs.ValidationError, match="energies must be finite"):
+            fit_lorentzian(bad, np.arange(6.0))
 
     def test_energy_and_count_sizes_must_match(self):
         with pytest.raises(hs.ValidationError, match="must match"):

@@ -3,6 +3,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -614,7 +615,7 @@ class TestRunSimulationRegression:
                 stream.times_ps.astype("<i8").tobytes()
                 + stream.channels.astype("u1").tobytes()
             ).hexdigest()
-            assert c.as_dict() == counters
+            assert asdict(c) == counters
             assert digest == sha256
 
     def test_tag_stream_digest_and_counters(self, monkeypatch):
