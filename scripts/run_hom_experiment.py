@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run_protocol(args.config, Path(args.out_dir), args.delay_ps)
-    except (hs.ValidationError, hs.ConfigurationError, OSError) as exc:
+    except (hs.ValidationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, ConfigurationError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (EstimationError, ModelDomainError, np.linalg.LinAlgError) as exc:

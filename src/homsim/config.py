@@ -17,7 +17,6 @@ from .model import (
     DetectorSpec,
     EmitterSpec,
     PulseTrainSpec,
-    ValidationError,
     _comb_ks,
     _dead_zone_edge,
     _grid_bins,
@@ -33,13 +32,6 @@ class AnalysisSpec:
     delta_t_ps: float = 3000.0
     n_side: int = 6
     background_correction: bool = True
-
-    def __post_init__(self) -> None:
-        _grid_bins(self.bin_width_ps, self.window_ps, "analysis.", ValidationError)
-        if not 0 < self.delta_t_ps < float("inf"):
-            raise ValidationError("analysis.delta_t_ps must be positive and finite")
-        if self.n_side < 2 or self.n_side % 2:
-            raise ValidationError("analysis.n_side must be an even count >= 2")
 
     @property
     def postselect_delta_t_ps(self) -> float:
@@ -58,18 +50,16 @@ class ScenarioConfig:
     analysis: AnalysisSpec = field(default_factory=AnalysisSpec)
 
     def __post_init__(self) -> None:
-        # analyze-hom's comb rules that the period sets: a scenario fails before simulate runs
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError("config.seed: must be an unsigned 64-bit integer")
+        # analyze-hom's grid and comb rules: a scenario fails before simulate runs.
+        # _comb_ks goes first: on a NaN delta_t_ps, _dead_zone_edge would blame the dead zones.
         a, period = self.analysis, self.train.period_ps
-        _dead_zone_edge(period, a.window_ps, a.bin_width_ps, a.delta_t_ps, "analysis.")
+        _grid_bins(a.bin_width_ps, a.window_ps, "analysis.")
         _comb_ks(period, a.window_ps, a.delta_t_ps, a.n_side, prefix="analysis.")
+        _dead_zone_edge(period, a.window_ps, a.bin_width_ps, a.delta_t_ps, "analysis.")
         width = "the post-selection width max(100 ps, 2 x analysis.bin_width_ps) ="
         _comb_ks(period, a.window_ps, a.postselect_delta_t_ps, a.n_side, "analysis.", width)
-
-
-def _expect_mapping(obj, path):
-    if not isinstance(obj, dict):
-        raise ConfigurationError("%s: expected an object" % path)
-    return obj
 
 
 def _number(value, path):
@@ -106,56 +96,46 @@ _READERS = {
 }
 
 
-def _parse_spec(cls, obj, path, required):
-    """Build cls from one JSON block, reading each field by its annotation.
+def _parse_spec(cls, obj, path, strict):
+    """Build cls from one JSON object, reading each field by its annotation.
 
-    Keys that are not fields of cls are rejected. With required, every
-    field must be given; otherwise absent fields keep the class defaults.
+    Keys that are not fields of cls are rejected. A field may be left out
+    only when it has a default and strict is false. A field that is itself
+    a spec class is read by a recursive call, strict when it has no default.
     """
-    readers = {f.name: _READERS[f.type] for f in fields(cls)}
-    for key in _expect_mapping(obj, path):
-        if key not in readers:
+    if not isinstance(obj, dict):
+        raise ConfigurationError("%s: expected an object" % path)
+    names = {f.name for f in fields(cls)}
+    for key in obj:
+        if key not in names:
             raise ConfigurationError("%s.%s: unknown key" % (path, key))
-    values = {}
-    for key, read in readers.items():
-        if key in obj:
-            values[key] = read(obj[key], "%s.%s" % (path, key))
-        elif required:
-            raise ConfigurationError("%s.%s: missing required key" % (path, key))
+    values, hints = {}, {}
+    for f in fields(cls):
+        key_path = "%s.%s" % (path, f.name)
+        optional = f.default is not MISSING or f.default_factory is not MISSING
+        if f.name not in obj:
+            if strict or not optional:
+                raise ConfigurationError("%s: missing required key" % key_path)
+        elif f.type in _READERS:
+            values[f.name] = _READERS[f.type](obj[f.name], key_path)
+        else:  # a spec class; its annotation resolved once per cls
+            hints = hints or get_type_hints(cls)
+            values[f.name] = _parse_spec(hints[f.name], obj[f.name], key_path, not optional)
     return cls(**values)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario from JSON text.
 
-    Each block is read into the spec class its ScenarioConfig field names.
-    Blocks without a default (the physics) and all their fields are
-    required; the analysis block and each of its fields may be left out.
+    The blocks without a default (the physics) and all their fields are
+    required, and so is the seed; the analysis block and each of its fields
+    may be left out.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError("invalid JSON: %s" % exc)
-    obj = _expect_mapping(obj, "config")
-    blocks = {f.name: f for f in fields(ScenarioConfig)}
-    for key in obj:
-        if key not in blocks:
-            raise ConfigurationError("config.%s: unknown key" % key)
-    for key, f in blocks.items():
-        if key not in obj and f.default_factory is MISSING:
-            raise ConfigurationError("config.%s: missing required key" % key)
-    seed = _integer(obj["seed"], "config.seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigurationError("config.seed: must be an unsigned 64-bit integer")
-    spec_classes = get_type_hints(ScenarioConfig)
-    specs = {
-        key: _parse_spec(
-            spec_classes[key], obj[key], "config." + key, f.default_factory is MISSING
-        )
-        for key, f in blocks.items()
-        if key != "seed" and key in obj
-    }
-    return ScenarioConfig(seed=seed, **specs)
+    return _parse_spec(ScenarioConfig, obj, "config", strict=False)
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -402,7 +402,7 @@ def exp_conv_gauss(u, tau: float, sigma: float):
     with np.errstate(over="ignore"):
         z = (sigma / tau - u / sigma) / _SQRT2
         out_safe = 0.5 * _erfcx(np.clip(z, -25.0, 25.0)) * np.exp(-0.5 * (u / sigma) ** 2)
-        plain = np.exp(np.clip(0.5 * (sigma / tau) ** 2 - u / tau, None, 700.0))
+        plain = np.exp(np.clip(0.5 * np.square(sigma / tau) - u / tau, None, 700.0))
     out = np.where(z <= -25.0, plain, np.where(z < 25.0, out_safe, 0.0))
     return out if out.ndim else float(out)
 
@@ -448,34 +448,32 @@ def fit_biexp_irf(
     t_ps: np.ndarray,
     counts: np.ndarray,
     irf_fwhm_ps: float,
-    init=None,
 ) -> FitResult:
     """Fit a bi-exponential decay convolved with the Gaussian timing response.
 
     Model: baseline + amp * [(1-f_slow) exp(-(t-t0)/tau_fast)
                              + f_slow exp(-(t-t0)/tau_slow)] (x) IRF.
     Each count y is weighted by its Poisson error sqrt(max(y, 1)); an
-    empty bin counts as one. init overrides the automatic initial guess.
-    The returned parameters satisfy tau_fast < tau_slow (swapped into
-    canonical order if the solver exits mirrored).
+    empty bin counts as one. The initial guess is read off the trace: the
+    peak, its first 1/e fall and a slow component ten times longer. The
+    returned parameters satisfy tau_fast < tau_slow (swapped into canonical
+    order if the solver exits mirrored).
     """
     t = np.asarray(t_ps, dtype=float)
     y = np.asarray(counts, dtype=float)
     sigma_irf = irf_fwhm_ps / FWHM_TO_SIGMA
     names = ("amp", "t0", "tau_fast", "tau_slow", "frac_slow", "baseline")
     _require_points(t, y, len(names))
-    if init is None:
-        base0 = float(max(np.min(y), 0.0))
-        i_max = int(np.argmax(y))
-        amp0 = float(max(np.max(y) - base0, 1.0))
-        t00 = float(t[i_max])
-        tail = y[i_max:] - base0
-        # first 1/e crossing after the peak; the last-above-threshold bin is
-        # unreliable when a folded trace wraps counts to the end of the span
-        below = np.flatnonzero(tail < amp0 / np.e)
-        tau0 = float(t[i_max + below[0]] - t00) if below.size else (t[-1] - t00) / 3.0
-        tau0 = max(tau0, 2.0 * (t[1] - t[0]))
-        init = (amp0, t00, tau0, 10.0 * tau0, 0.05, base0)
+    base0 = float(max(np.min(y), 0.0))
+    i_max = int(np.argmax(y))
+    amp0 = float(max(np.max(y) - base0, 1.0))
+    t00 = float(t[i_max])
+    tail = y[i_max:] - base0
+    # first 1/e crossing after the peak; the last-above-threshold bin is
+    # unreliable when a folded trace wraps counts to the end of the span
+    below = np.flatnonzero(tail < amp0 / np.e)
+    tau0 = float(t[i_max + below[0]] - t00) if below.size else (t[-1] - t00) / 3.0
+    tau0 = max(tau0, 2.0 * (t[1] - t[0]))
     bounds = [
         (0.0, np.inf),
         (t[0] - (t[-1] - t[0]), t[-1]),
@@ -488,7 +486,7 @@ def fit_biexp_irf(
         lambda tt, p: _biexp_model(tt, p, sigma_irf),
         t,
         y,
-        init,
+        (amp0, t00, tau0, 10.0 * tau0, 0.05, base0),
         sigma=np.sqrt(np.maximum(y, 1.0)),
         bounds=bounds,
         param_names=names,

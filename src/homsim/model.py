@@ -25,8 +25,9 @@ class ValidationError(ValueError):
     """A parameter set violates its declared invariants."""
 
 
-class ConfigurationError(ValueError):
-    """An analysis was configured inconsistently (grids, windows, combs)."""
+class ConfigurationError(ValidationError):
+    """An analysis was configured inconsistently (grids, windows, combs), or a
+    scenario file breaks its schema: a kind of invalid input."""
 
 
 class EstimationError(RuntimeError):
@@ -109,6 +110,10 @@ class EmitterSpec:
         _require(0.0 <= self.slow_fraction < 1.0, "slow_fraction must be in [0, 1)")
         _require(self.blink_on_rate_per_s >= 0, "blink_on_rate_per_s must be >= 0")
         _require(self.blink_off_rate_per_s >= 0, "blink_off_rate_per_s must be >= 0")
+        _require(
+            math.isfinite(self.blink_on_rate_per_s + self.blink_off_rate_per_s),
+            "blink_on_rate_per_s + blink_off_rate_per_s overflows",
+        )
         _require(
             self.spectral_diffusion_sigma_uev >= 0,
             "spectral_diffusion_sigma_uev must be >= 0",
@@ -220,17 +225,17 @@ class PulseTrainSpec:
         return self.n_pulses * self.period_ps
 
 
-def _grid_bins(bin_width_ps, window_ps, prefix="", error=ConfigurationError) -> int:
+def _grid_bins(bin_width_ps, window_ps, prefix="") -> int:
     """The bin count 2*window/bin_width of a correlation grid: an even count
     >= 2 of bins >= 1 ps wide (tags are integer ps). prefix goes before the
-    field an error names; error is raised for a count that breaks the rule."""
+    field an error names."""
     if not 1.0 <= bin_width_ps < np.inf:
         raise ValidationError("%sbin_width_ps must be finite and >= 1 ps" % prefix)
     if not 0.0 < window_ps < np.inf:
         raise ValidationError("%swindow_ps must be positive and finite" % prefix)
     quotient = 2.0 * window_ps / bin_width_ps
     if not (1.0 <= quotient < math.inf and abs(quotient / 2.0 - round(quotient / 2.0)) <= 5e-10):
-        raise error(
+        raise ConfigurationError(
             "correlation window %g ps over bin width %g ps gives %g bins, not an even "
             "count >= 2: %sbin_width_ps must split twice the window evenly"
             % (window_ps, bin_width_ps, quotient, prefix)

@@ -362,15 +362,8 @@ def _require_representable(
     (_gauss) below 9 sigma. The latest tag must stay under TAG_CLOCK_PS, so
     that tags, tag + dead time and the merge's 2 * tag + 1 fit int64. For a pair,
     |tau| < delay + 37 lifetimes, and the kernel's phase delta*tau and
-    exponent (gs1 + gs2)*|tau| must be finite. The blink gate needs the
-    total switching rate k_on + k_off to be finite.
+    exponent (gs1 + gs2)*|tau| must be finite.
     """
-    for i, e in enumerate((e1, e2), start=1):
-        if not math.isfinite(e.blink_on_rate_per_s + e.blink_off_rate_per_s):
-            raise ValidationError(
-                "emitter%d: blink_on_rate_per_s %g + blink_off_rate_per_s %g "
-                "overflows" % (i, e.blink_on_rate_per_s, e.blink_off_rate_per_s)
-            )
     slowest = max(max(e.t1_fast_ps, e.t1_slow_ps) for e in (e1, e2))
     t_max = train.span_ps + train.source_delay_ps + 37.0 * slowest + 9.0 * det.irf_sigma_ps
     if not t_max < TAG_CLOCK_PS:

@@ -768,6 +768,20 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert "analysis.delta_t_ps" in err
 
+    def test_blink_rates_whose_sum_overflows_exit_2_at_load(self, run, tmp_path):
+        # the scenario holds the emitter, so analyze-hom rejects it as simulate does
+        cfg = scenario_dict()
+        cfg["emitter1"] = dict(cfg["emitter1"], blink_on_rate_per_s=1e308,
+                               blink_off_rate_per_s=1e308)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        tags = write_two_tags(tmp_path)
+        code, _, err = run(
+            "analyze-hom", "--tags", tags, "--config", path, "--out-prefix", tmp_path / "x"
+        )
+        assert code == 2
+        assert err == "error: blink_on_rate_per_s + blink_off_rate_per_s overflows\n"
+
     def test_lifetime_beyond_tag_clock_exits_2(self, run, tmp_path):
         cfg = scenario_dict()
         cfg["emitter1"] = dict(cfg["emitter1"], t1_slow_ps=1e300)

@@ -1,11 +1,13 @@
 """Scenario configuration: strict schema, round trips, digests."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
 import homsim as hs
+from homsim import config
 from homsim.config import (
     config_digest,
     load_scenario,
@@ -210,6 +212,49 @@ class TestValueTypes:
         d["seed"] = "42"
         with pytest.raises(hs.ConfigurationError, match=r"config\.seed"):
             parse_dict(d)
+
+
+class TestOneReader:
+    def test_each_spec_is_read_by_one_recursive_reader(self, monkeypatch):
+        read = []
+        parse = config._parse_spec
+
+        def recorded(cls, obj, path, strict):
+            read.append((cls.__name__, path, strict))
+            return parse(cls, obj, path, strict)
+
+        monkeypatch.setattr(config, "_parse_spec", recorded)
+        parse_dict(base_dict())
+        assert read == [
+            ("ScenarioConfig", "config", False),
+            ("EmitterSpec", "config.emitter1", True),
+            ("EmitterSpec", "config.emitter2", True),
+            ("CircuitSpec", "config.circuit", True),
+            ("DetectorSpec", "config.detector", True),
+            ("PulseTrainSpec", "config.train", True),
+            ("AnalysisSpec", "config.analysis", False),
+        ]
+
+    def test_a_configuration_error_is_a_validation_error(self):
+        assert issubclass(hs.ConfigurationError, hs.ValidationError)
+        # the grid rule raises the one type, wherever its caller sits
+        d = base_dict()
+        d["analysis"] = {"bin_width_ps": 30.0}
+        with pytest.raises(hs.ConfigurationError, match="analysis.bin_width_ps"):
+            parse_dict(d)
+
+    def test_analysis_rules_live_in_the_scenario(self):
+        # AnalysisSpec holds values; the scenario, which knows the period, checks them
+        ana = hs.AnalysisSpec(n_side=5)
+        cfg = parse_dict(base_dict())
+        with pytest.raises(hs.ConfigurationError, match="analysis.n_side"):
+            dataclasses.replace(cfg, analysis=ana)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_scenario_built_in_code_checks_its_seed(self, seed):
+        cfg = parse_dict(base_dict())
+        with pytest.raises(hs.ConfigurationError, match="64-bit"):
+            dataclasses.replace(cfg, seed=seed)
 
 
 class TestSeedRange:

@@ -90,6 +90,12 @@ class TestEmitterSpec:
         with pytest.raises(hs.ValidationError, match="%s is too short" % field):
             make_emitter(**{field: 1e-320})
 
+    def test_blink_rates_whose_sum_overflows_rejected(self):
+        # k_on + k_off = inf would leave the telegraph gate off for good
+        with pytest.raises(hs.ValidationError, match="blink_on_rate_per_s"):
+            make_emitter(blink_on_rate_per_s=1e308, blink_off_rate_per_s=1e308)
+        make_emitter(blink_on_rate_per_s=1e300, blink_off_rate_per_s=1e300)
+
     def test_extreme_but_representable_times_accepted(self):
         for t in (1e-300, 1e300, 1e308):
             e = make_emitter(t1_fast_ps=t, t1_slow_ps=t, t2_ps=t)
